@@ -17,6 +17,9 @@ type Catalog struct {
 	// sweeps (IDs, All, RunEngine) don't re-sort an unchanged catalogue.
 	// nil means stale; Register invalidates, IDs rebuilds on demand.
 	sorted []string
+	// plan memoises the compiled read plan (Plan); nil means stale, and
+	// Register invalidates it exactly like sorted.
+	plan *Plan
 }
 
 // NewCatalog returns an empty catalogue.
@@ -39,6 +42,7 @@ func (c *Catalog) Register(r CheckableEnforceableRequirement) error {
 	}
 	c.byID[id] = r
 	c.sorted = nil
+	c.plan = nil
 	return nil
 }
 
@@ -118,20 +122,6 @@ func (c *Catalog) allLocked(ids []string) []CheckableEnforceableRequirement {
 	out := make([]CheckableEnforceableRequirement, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, c.byID[id])
-	}
-	return out
-}
-
-// Fingerprints returns the dedup fingerprint (CheckFingerprint) of every
-// registered requirement that supports one, keyed by finding ID. Entries
-// whose requirement cannot digest its state right now are absent — they
-// simply execute instead of deduping.
-func (c *Catalog) Fingerprints() map[string]string {
-	out := map[string]string{}
-	for _, r := range c.All() {
-		if fp, ok := CheckFingerprint(r); ok {
-			out[r.FindingID()] = fp
-		}
 	}
 	return out
 }

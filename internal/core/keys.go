@@ -18,6 +18,12 @@ package core
 // under push evaluation. Requirements that cannot enumerate their reads
 // simply don't implement the interface and fall back to full re-audits
 // (and the daemon's periodic fallback sweep).
+//
+// The declaration must also be a pure function of the requirement's
+// construction parameters (the package a pattern names, the config item
+// it inspects), never of host state or of when it is asked: a catalogue
+// compiles its declarations once into a Plan (Catalog.Plan), and
+// catalogues with equal declarations share that plan across hosts.
 type KeyReader interface {
 	// CheckStateKeys returns the canonical state keys the Check reads.
 	CheckStateKeys() []string

@@ -336,16 +336,22 @@ func TestAttemptCtxNoTimeoutContextNeverCancelled(t *testing.T) {
 func TestPullDrainsSharedQueue(t *testing.T) {
 	var next atomic.Int64
 	const n = 100
-	var done atomic.Int64
-	walls, ps := Pull(4, func(int) (func(), bool) {
+	var done, sum atomic.Int64
+	walls, ps := Pull(4, func(int) (int, bool) {
 		i := next.Add(1) - 1
 		if i >= n {
-			return nil, false
+			return 0, false
 		}
-		return func() { done.Add(1) }, true
+		return int(i), true
+	}, func(_, item int) {
+		done.Add(1)
+		sum.Add(int64(item))
 	})
 	if done.Load() != n {
-		t.Fatalf("ran %d tasks, want %d", done.Load(), n)
+		t.Fatalf("ran %d items, want %d", done.Load(), n)
+	}
+	if sum.Load() != n*(n-1)/2 {
+		t.Fatalf("item sum = %d, want %d: every index must run exactly once", sum.Load(), n*(n-1)/2)
 	}
 	if len(walls) != 4 || ps.Workers != 4 {
 		t.Errorf("walls=%d workers=%d, want 4", len(walls), ps.Workers)
@@ -360,39 +366,69 @@ func TestPullDrainsSharedQueue(t *testing.T) {
 func TestPullPanicDoesNotKillWorker(t *testing.T) {
 	var next atomic.Int64
 	var clean atomic.Int64
-	_, ps := Pull(2, func(int) (func(), bool) {
+	_, ps := Pull(2, func(int) (int, bool) {
 		i := next.Add(1) - 1
 		if i >= 10 {
-			return nil, false
+			return 0, false
 		}
-		if i%2 == 0 {
-			return func() { panic("boom") }, true
+		return int(i), true
+	}, func(_, item int) {
+		if item%2 == 0 {
+			panic("boom")
 		}
-		return func() { clean.Add(1) }, true
+		clean.Add(1)
 	})
 	if ps.Panics != 5 {
 		t.Errorf("panics = %d, want 5", ps.Panics)
 	}
 	if clean.Load() != 5 {
-		t.Errorf("clean tasks = %d, want 5: a panic must not retire the worker", clean.Load())
+		t.Errorf("clean items = %d, want 5: a panic must not retire the worker", clean.Load())
 	}
 }
 
 func TestPullSingleWorkerInline(t *testing.T) {
 	order := []int{}
 	i := 0
-	Pull(1, func(w int) (func(), bool) {
+	Pull(1, func(w int) (int, bool) {
 		if w != 0 {
 			t.Fatalf("worker = %d, want 0", w)
 		}
 		if i >= 3 {
-			return nil, false
+			return 0, false
 		}
-		j := i
 		i++
-		return func() { order = append(order, j) }, true
+		return i - 1, true
+	}, func(w, item int) {
+		if w != 0 {
+			t.Fatalf("run worker = %d, want 0", w)
+		}
+		order = append(order, item)
 	})
 	if len(order) != 3 || order[0] != 0 || order[2] != 2 {
 		t.Errorf("order = %v", order)
+	}
+}
+
+// TestPullRunsItemOnAskingWorker pins the contract Sweep's per-shard
+// state relies on: run executes on the worker whose next returned the
+// item, before that worker asks again.
+func TestPullRunsItemOnAskingWorker(t *testing.T) {
+	var next atomic.Int64
+	var asked [3]int // asked[w]: the item worker w last drew; only w touches it
+	var bad atomic.Int64
+	Pull(3, func(w int) (int, bool) {
+		i := int(next.Add(1) - 1)
+		if i >= 60 {
+			return 0, false
+		}
+		asked[w] = i
+		return i, true
+	}, func(w, item int) {
+		if asked[w] != item {
+			bad.Add(1)
+		}
+	})
+	if bad.Load() != 0 {
+		t.Fatalf("%d items ran on a worker other than the one that drew them", bad.Load())
 	}
 }

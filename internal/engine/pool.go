@@ -94,22 +94,24 @@ func Map[T, R any](items []T, workers int, f func(int, T) R) ([]R, PoolStats) {
 }
 
 // Pull is the pull-based counterpart of Map for callers whose work list
-// is dynamic: a pool of workers repeatedly asks next for a task until it
-// reports no more work. next is called with the worker index and must be
-// safe for concurrent use — it is the scheduler (a shared queue, a
-// work-stealing heap); returning ok=false retires the asking worker. A
-// panic escaping a task is counted in PoolStats.Panics and does not kill
+// is dynamic: a pool of workers repeatedly asks next for an item until it
+// reports no more work, and hands each item to run on the same worker.
+// next is called with the worker index and must be safe for concurrent
+// use — it is the scheduler (a shared queue, a work-stealing heap);
+// returning ok=false retires the asking worker. Passing item indices
+// instead of per-item closures keeps the pool allocation-free per item.
+// A panic escaping run is counted in PoolStats.Panics and does not kill
 // its worker. Returns each worker's wall time (pool start to that
 // worker's retirement) alongside the pool telemetry. A single worker
 // runs inline with no goroutines.
-func Pull(workers int, next func(worker int) (task func(), ok bool)) ([]time.Duration, PoolStats) {
+func Pull(workers int, next func(worker int) (item int, ok bool), run func(worker, item int)) ([]time.Duration, PoolStats) {
 	if workers < 1 {
 		workers = 1
 	}
 	walls := make([]time.Duration, workers)
 	var busy, panics atomic.Int64
 	start := time.Now()
-	runTask := func(task func()) {
+	runItem := func(w, item int) {
 		t0 := time.Now()
 		defer func() {
 			busy.Add(int64(time.Since(t0)))
@@ -117,15 +119,15 @@ func Pull(workers int, next func(worker int) (task func(), ok bool)) ([]time.Dur
 				panics.Add(1)
 			}
 		}()
-		task()
+		run(w, item)
 	}
 	worker := func(w int) {
 		for {
-			task, ok := next(w)
+			item, ok := next(w)
 			if !ok {
 				break
 			}
-			runTask(task)
+			runItem(w, item)
 		}
 		walls[w] = time.Since(start)
 	}

@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"sort"
-
-	"veridevops/internal/core"
-)
+import "veridevops/internal/core"
 
 // DepIndex is the reverse dependency index of one catalogue: host-state
 // key (host.StateKey canonical form, "pkg:nis") → the finding IDs of the
@@ -12,95 +8,25 @@ import (
 // event delta into the exact set of checks to re-run — O(changed keys)
 // instead of O(requirements) — for the push-based streaming evaluator.
 //
-// Requirements that declare no keys are collected as unindexed: the
-// index cannot localise their reads, so Affected conservatively includes
-// them in every delta (and the daemon's fallback sweep re-covers them
-// periodically regardless).
-//
-// A DepIndex is immutable after construction and safe for concurrent
-// reads.
-type DepIndex struct {
-	byKey     map[string][]string
-	indexed   []string
-	unindexed []string
-	findings  int
-}
+// The index is the catalogue's compiled read plan (core.Plan): it
+// depends only on the requirements' declarations, not on the host they
+// are bound to, so every host running an equal catalogue shares one
+// index. Requirements that declare no keys are collected as unindexed:
+// the index cannot localise their reads, so Affected conservatively
+// includes them in every delta (and the daemon's fallback sweep
+// re-covers them periodically regardless).
+type DepIndex = core.Plan
 
-// BuildDepIndex builds the index of a catalogue. Construction iterates
-// Catalog.All, which returns entries in finding-ID order, and every
-// slice the index holds is sorted — so two indexes built from equal
-// catalogues are deeply equal regardless of registration or
-// map-iteration order.
+// emptyIndex is the index of a target without a catalogue.
+var emptyIndex = core.NewCatalog().Plan()
+
+// BuildDepIndex returns the index of a catalogue: its shared compiled
+// plan, compiled on first use. Every slice the index holds is sorted, so
+// catalogues with equal declarations yield the same index regardless of
+// registration or map-iteration order.
 func BuildDepIndex(c *core.Catalog) *DepIndex {
-	x := &DepIndex{byKey: map[string][]string{}}
 	if c == nil {
-		return x
+		return emptyIndex
 	}
-	for _, req := range c.All() {
-		x.findings++
-		keys, ok := core.CheckKeys(req)
-		if !ok {
-			x.unindexed = append(x.unindexed, req.FindingID())
-			continue
-		}
-		x.indexed = append(x.indexed, req.FindingID())
-		for _, k := range keys {
-			x.byKey[k] = append(x.byKey[k], req.FindingID())
-		}
-	}
-	// All() is ID-sorted, so appends already are too — but a requirement
-	// may declare duplicate keys; dedup each posting list defensively.
-	for k, ids := range x.byKey {
-		x.byKey[k] = dedupSorted(ids)
-	}
-	return x
+	return c.Plan()
 }
-
-// dedupSorted removes adjacent duplicates from an already-sorted list.
-func dedupSorted(ids []string) []string {
-	out := ids[:0]
-	for _, id := range ids {
-		if len(out) == 0 || out[len(out)-1] != id {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Lookup returns the finding IDs reading exactly this key (unindexed
-// findings excluded), sorted. The returned slice is shared; callers must
-// not mutate it.
-func (x *DepIndex) Lookup(key string) []string { return x.byKey[key] }
-
-// Affected maps a set of changed state keys to the sorted, deduplicated
-// finding IDs that must be re-checked: every check reading one of the
-// keys, plus every unindexed check (their reads are unknown, so any
-// change might concern them). Keys no check reads contribute nothing —
-// Affected of an irrelevant change on a fully-indexed catalogue is
-// empty.
-func (x *DepIndex) Affected(keys []string) []string {
-	var out []string
-	out = append(out, x.unindexed...)
-	for _, k := range keys {
-		out = append(out, x.byKey[k]...)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	sort.Strings(out)
-	return dedupSorted(out)
-}
-
-// Unindexed returns the finding IDs that declare no state keys, sorted.
-// The returned slice is shared; callers must not mutate it.
-func (x *DepIndex) Unindexed() []string { return x.unindexed }
-
-// Indexed returns the finding IDs that declare at least one key, sorted.
-// The returned slice is shared; callers must not mutate it.
-func (x *DepIndex) Indexed() []string { return x.indexed }
-
-// Keys reports how many distinct state keys the index covers.
-func (x *DepIndex) Keys() int { return len(x.byKey) }
-
-// Findings reports how many catalogue entries the index was built from.
-func (x *DepIndex) Findings() int { return x.findings }

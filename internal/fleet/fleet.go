@@ -38,7 +38,8 @@ package fleet
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -208,13 +209,6 @@ func (c *Coordinator) Invalidate(name string) {
 	delete(c.cache, name)
 }
 
-// InvalidateAll drops the whole cache.
-func (c *Coordinator) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cache = make(map[string]cacheEntry)
-}
-
 // CachedHosts reports how many hosts currently have a cached report.
 func (c *Coordinator) CachedHosts() int {
 	c.mu.Lock()
@@ -288,9 +282,13 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 		return FleetReport{}, FleetStats{Shards: 0, Workers: opts.Workers}
 	}
 
-	ts := make([]Target, len(targets))
-	copy(ts, targets)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
+	// The sweep reads ts in name order; a caller that already passes
+	// sorted targets is used as is, otherwise a sorted copy is made.
+	ts := targets
+	if !slices.IsSortedFunc(ts, compareTargets) {
+		ts = slices.Clone(targets)
+		slices.SortFunc(ts, compareTargets)
+	}
 
 	var memo *core.CheckMemo
 	if opts.Dedup && opts.Mode == core.CheckOnly {
@@ -311,40 +309,43 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 	}
 
 	// results is written at distinct indices: the scheduler hands each
-	// host index out exactly once. shardSpans[shard] is touched only by
-	// shard's own goroutine (engine.Pull calls next and the task on it).
+	// host index out exactly once. stolen[shard] and shardSpans[shard]
+	// are touched only by shard's own goroutine: engine.Pull calls next
+	// and then run for the drawn host on it.
 	results := make([]HostResult, len(ts))
-	shardWalls, ps := engine.Pull(opts.Shards, func(shard int) (func(), bool) {
-		i, stolen, ok := sched.next(shard)
+	stolen := make([]bool, opts.Shards)
+	shardWalls, ps := engine.Pull(opts.Shards, func(shard int) (int, bool) {
+		i, st, ok := sched.next(shard)
 		if !ok {
 			if shardSpans != nil {
 				shardSpans[shard].End()
 			}
-			return nil, false
+			return 0, false
 		}
 		if shardSpans != nil && shardSpans[shard] == nil {
 			shardSpans[shard] = root.Child("shard").TagInt("shard", shard)
 		}
-		return func() {
-			var hs *telemetry.Span
-			if shardSpans != nil {
-				// ChildTrace: each host audit roots its own trace (tree
-				// link to the shard preserved), so the trace store can
-				// sample and rank per host, not per whole sweep.
-				hs = shardSpans[shard].ChildTrace("host").
-					Tag("host", ts[i].Name).TagBool("stolen", stolen)
+		stolen[shard] = st
+		return i, true
+	}, func(shard, i int) {
+		var hs *telemetry.Span
+		if shardSpans != nil {
+			// ChildTrace: each host audit roots its own trace (tree
+			// link to the shard preserved), so the trace store can
+			// sample and rank per host, not per whole sweep.
+			hs = shardSpans[shard].ChildTrace("host").
+				Tag("host", ts[i].Name).TagBool("stolen", stolen[shard])
+		}
+		hr := c.auditOne(ts[i], shard, opts, memo, hs)
+		hr.Stolen = stolen[shard]
+		if hs != nil {
+			hs.TagBool("cached", hr.FromCache)
+			if hr.Degraded {
+				hs.TagBool("degraded", true)
 			}
-			hr := c.auditOne(ts[i], shard, opts, memo, hs)
-			hr.Stolen = stolen
-			if hs != nil {
-				hs.TagBool("cached", hr.FromCache)
-				if hr.Degraded {
-					hs.TagBool("degraded", true)
-				}
-				hs.End()
-			}
-			results[i] = hr
-		}, true
+			hs.End()
+		}
+		results[i] = hr
 	})
 
 	rep := FleetReport{Hosts: results}
@@ -355,6 +356,9 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 	recordSweepMetrics(opts.Metrics, st)
 	return rep, st
 }
+
+// compareTargets orders targets by name, the order a sweep reports in.
+func compareTargets(a, b Target) int { return strings.Compare(a.Name, b.Name) }
 
 // recordSweepMetrics folds one sweep's roll-up into the shared metrics
 // registry. Histograms only observe shards that did work, so idle

@@ -187,9 +187,11 @@ func TestIncrementalFallsBackOnCacheMiss(t *testing.T) {
 	if st2.CachedHosts != 2 {
 		t.Errorf("CachedHosts after Invalidate = %d, want 2", st2.CachedHosts)
 	}
-	coord.InvalidateAll()
+	for _, tg := range targets {
+		coord.Invalidate(tg.Name)
+	}
 	if coord.CachedHosts() != 0 {
-		t.Error("InvalidateAll left entries behind")
+		t.Error("Invalidate left entries behind")
 	}
 }
 

@@ -1,7 +1,8 @@
 package fleet
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -79,25 +80,42 @@ func newStealScheduler(n int, shards int, affinityOf func(i int) int, costs []ti
 		steals:    make([]int, shards),
 		queueWait: make([]time.Duration, shards),
 	}
-	for i := 0; i < n; i++ {
+	// Every queue is carved from one backing array sized by a counting
+	// pass, so seeding costs the same few allocations at any fleet size.
+	homes := make([]int, n)
+	sizes := make([]int, shards)
+	for i := range homes {
+		homes[i] = affinityOf(i)
+		sizes[homes[i]]++
+	}
+	items := make([]schedItem, n)
+	off := 0
+	for home, size := range sizes {
+		s.queues[home] = items[off : off : off+size]
+		off += size
+	}
+	for i, home := range homes {
 		cost := defaultCost
 		if i < len(costs) && costs[i] > 0 {
 			cost = costs[i]
 		}
-		home := affinityOf(i)
 		s.queues[home] = append(s.queues[home], schedItem{idx: i, cost: cost})
 		s.remaining[home] += cost
 	}
-	for home := range s.queues {
-		q := s.queues[home]
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].cost != q[b].cost {
-				return q[a].cost > q[b].cost
-			}
-			return q[a].idx < q[b].idx
-		})
+	for _, q := range s.queues {
+		slices.SortFunc(q, compareSchedItems)
 	}
 	return s
+}
+
+// compareSchedItems is the queue order: cost descending, then index
+// ascending. Indices are unique, so the order is total and an unstable
+// sort yields the same queue a stable one would.
+func compareSchedItems(a, b schedItem) int {
+	if a.cost != b.cost {
+		return cmp.Compare(b.cost, a.cost)
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // next hands shard its next host: from its own queue while one remains,

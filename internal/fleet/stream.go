@@ -13,8 +13,8 @@ import (
 
 // Streamer is the push-based incremental evaluator: it subscribes to
 // per-host EventLog tails, coalesces the state keys dirtied since the
-// last flush, maps them through each host's DepIndex to the affected
-// checks, and re-runs only those — routing the work through the same
+// last flush, maps them through each host's DepIndex (its catalogue's
+// shared read plan) to the affected checks, and re-runs only those — routing the work through the same
 // shard pool, engine retry/fault tolerance, dedup memo and incremental
 // cache the batch sweeps use. Between flushes it maintains a live
 // fleet-compliance view (per-host, per-finding verdicts) and raises one
@@ -85,7 +85,8 @@ func (o StreamOptions) evalOptions() Options {
 }
 
 // streamHost is the streamer's per-host state: the audit target, its
-// event source, its dependency index, the tail cursor, and the live
+// event source, its dependency index (shared with every host whose
+// catalogue has equal declarations), the tail cursor, and the live
 // verdict view.
 type streamHost struct {
 	target Target
@@ -131,7 +132,7 @@ type StreamStats struct {
 	// catalogue entries across the currently watched hosts the dependency
 	// index can localize (core.KeyReader declared) versus must fan out to
 	// conservatively on every event. Snapshotted by Stats() from the
-	// per-host indexes.
+	// watched hosts' read plans.
 	IndexedChecks   int
 	UnindexedChecks int
 }

@@ -25,28 +25,31 @@ type Host struct {
 	Class string
 	Linux *host.Linux
 
-	cat  *core.Catalog
-	down bool
+	// target is built once at join and rebuilt by SetCatalog: a fresh
+	// Version method value per Target call would allocate once per host
+	// on every sweep.
+	target fleet.Target
+	down   bool
 }
 
 // Target wires the host into the fleet coordinator: its own catalogue,
 // cache-keyed by the host event-log version.
-func (h *Host) Target() fleet.Target {
-	return fleet.Target{Name: h.Name, Catalog: h.cat, Version: h.Linux.Log().Version}
-}
+func (h *Host) Target() fleet.Target { return h.target }
 
 // Down reports whether the host is currently marked unreachable.
 func (h *Host) Down() bool { return h.down }
 
 // Catalog returns the host's audit catalogue.
-func (h *Host) Catalog() *core.Catalog { return h.cat }
+func (h *Host) Catalog() *core.Catalog { return h.target.Catalog }
 
 // SetCatalog replaces the host's audit catalogue — the scenario
 // executor's hook for wrapping requirements with fault injectors and
 // restoring them afterwards. Swapping the catalogue does not advance the
 // host's event-log version, so callers must invalidate any incremental
 // cache entry keyed on it themselves.
-func (h *Host) SetCatalog(c *core.Catalog) { h.cat = c }
+func (h *Host) SetCatalog(c *core.Catalog) {
+	h.target = fleet.Target{Name: h.Name, Catalog: c, Version: h.Linux.Log().Version}
+}
 
 // Fleet is a synthesized host population under churn: hosts join, leave
 // and lose connectivity, so membership is mutable. Removal is
@@ -182,8 +185,8 @@ func (f *Fleet) joinClass(ci int) *Host {
 		Name:  fmt.Sprintf("lg-%s-%06d", class.Name, f.created[ci]),
 		Class: class.Name,
 		Linux: l,
-		cat:   stig.UbuntuCatalog(l),
 	}
+	h.SetCatalog(stig.UbuntuCatalog(l))
 	f.created[ci]++
 	f.index[h.Name] = len(f.hosts)
 	f.hosts = append(f.hosts, h)

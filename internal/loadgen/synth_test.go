@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"veridevops/internal/core"
 	"veridevops/internal/fleet"
 )
 
@@ -173,5 +174,29 @@ func TestFleetMembership(t *testing.T) {
 		if j, ok := f.index[m.Name]; !ok || j != i {
 			t.Fatalf("index[%s] = %d,%v; want %d", m.Name, j, ok, i)
 		}
+	}
+}
+
+// TestTargetsBuiltOnce pins the Target satellite: Fleet.Targets costs
+// one slice allocation however many hosts there are (each host's Target,
+// Version probe included, is built at join), and SetCatalog rebinds it.
+func TestTargetsBuiltOnce(t *testing.T) {
+	f, err := Synthesize(smallTopology(), 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { f.Targets() }); allocs != 1 {
+		t.Errorf("Targets allocates %v times for 64 hosts, want 1", allocs)
+	}
+	h := f.Hosts()[0]
+	before := h.Linux.Log().Version()
+	h.Linux.Install("probe-pkg", "1.0")
+	if tg := h.Target(); tg.Name != h.Name || tg.Catalog != h.Catalog() || tg.Version() == before {
+		t.Fatalf("Target = %+v: want the host's name, catalogue and live version", tg)
+	}
+	swapped := core.NewCatalog()
+	h.SetCatalog(swapped)
+	if tg := h.Target(); tg.Catalog != swapped || h.Catalog() != swapped || tg.Version() != h.Linux.Log().Version() {
+		t.Fatal("SetCatalog did not rebind the host's Target")
 	}
 }
