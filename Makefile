@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet lint verify-reads sarif build test race fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
+.PHONY: check vet lint verify-reads sarif build test race perfbench-test fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
 
 # check is the CI gate: vet, the repository's own analyzers, build
 # everything, then the full test suite under the race detector (the
 # engine, core and monitor packages are concurrent by construction, so
 # -race is not optional), the dynamic declared-reads oracle, and finally
 # the small-N load-harness smoke replays in both sweep and push modes
-# plus the tracing-overhead gate. fleet-race is part of race via ./...,
-# listed separately for a focused re-run.
-check: vet lint build race verify-reads smoke-load smoke-serve smoke-trace smoke-scenario
+# plus the tracing-overhead gate, and the perfbench module's own tests.
+# fleet-race is part of race via ./..., listed separately for a focused
+# re-run.
+check: vet lint build race verify-reads perfbench-test smoke-load smoke-serve smoke-trace smoke-scenario
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +45,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-test vets and tests the replay benchmark's separate module,
+# which ./... does not reach. Its replay_test pins the benchmark driver
+# to loadgen.Run call for call on every workload.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fleet-race exercises just the concurrency-heavy fleet paths under the
 # race detector (already covered by race; this is the quick loop).

@@ -167,15 +167,14 @@ func BenchmarkE7bEngineRobustness(b *testing.B) {
 }
 
 // BenchmarkRunParallelEngine measures a parallel catalogue audit through
-// the engine (the execution path under every RunParallel call), the
-// kernel of E7b.
+// the engine on an 8-worker pool, the kernel of E7b.
 func BenchmarkRunParallelEngine(b *testing.B) {
 	h := host.NewUbuntu1804()
 	cat := stig.UbuntuCatalog(h)
 	cat.Run(core.CheckAndEnforce)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cat.RunParallel(core.CheckOnly, 8)
+		cat.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 8})
 	}
 }
 

@@ -23,6 +23,12 @@ func (a *atomicReq) Enforce() EnforcementStatus {
 	return EnforceSuccess
 }
 
+// runParallel audits a catalogue on an engine pool of workers.
+func runParallel(c *Catalog, mode RunMode, workers int) Report {
+	rep, _ := c.RunEngine(RunOptions{Mode: mode, Workers: workers})
+	return rep
+}
+
 func parallelCatalog(n int, failEvery int) (*Catalog, []*atomicReq) {
 	c := NewCatalog()
 	reqs := make([]*atomicReq, 0, n)
@@ -40,7 +46,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	parCat, _ := parallelCatalog(100, 3)
 
 	seq := seqCat.Run(CheckOnly)
-	par := parCat.RunParallel(CheckOnly, 8)
+	par := runParallel(parCat, CheckOnly, 8)
 	if len(seq.Results) != len(par.Results) {
 		t.Fatalf("lengths differ: %d vs %d", len(seq.Results), len(par.Results))
 	}
@@ -53,7 +59,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 
 func TestRunParallelEnforces(t *testing.T) {
 	cat, reqs := parallelCatalog(64, 2)
-	rep := cat.RunParallel(CheckAndEnforce, 8)
+	rep := runParallel(cat, CheckAndEnforce, 8)
 	if rep.Compliance() != 1 {
 		t.Errorf("compliance = %v", rep.Compliance())
 	}
@@ -74,15 +80,15 @@ func TestRunParallelEnforces(t *testing.T) {
 
 func TestRunParallelDegenerateWorkers(t *testing.T) {
 	cat, _ := parallelCatalog(5, 2)
-	if rep := cat.RunParallel(CheckOnly, 0); len(rep.Results) != 5 {
+	if rep := runParallel(cat, CheckOnly, 0); len(rep.Results) != 5 {
 		t.Error("workers<=1 must fall back to sequential")
 	}
 	cat2, _ := parallelCatalog(2, 0)
-	if rep := cat2.RunParallel(CheckOnly, 50); len(rep.Results) != 2 {
+	if rep := runParallel(cat2, CheckOnly, 50); len(rep.Results) != 2 {
 		t.Error("worker count must clamp to the catalogue size")
 	}
 	empty := NewCatalog()
-	if rep := empty.RunParallel(CheckAndEnforce, 4); len(rep.Results) != 0 {
+	if rep := runParallel(empty, CheckAndEnforce, 4); len(rep.Results) != 0 {
 		t.Error("empty catalogue")
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"veridevops/internal/telemetry"
 )
 
-// This file is the single execution path of the catalogue: Run,
-// RunParallel, the monitor scheduler and the CLIs all funnel through
+// This file is the single execution path of the catalogue: Run, the
+// fleet coordinator, the monitor scheduler and the CLIs all funnel through
 // RunEngine, which builds on internal/engine for panic isolation, retry
 // with backoff, per-attempt timeouts and run telemetry.
 
@@ -246,7 +246,7 @@ func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol e
 
 // RunEngine executes every catalogue entry in finding-ID order on the
 // fault-tolerant engine and returns the report plus run telemetry. It is
-// the single execution path behind Run and RunParallel. With
+// the single execution path behind Run and every parallel audit. With
 // RunOptions.Only set, only the named entries run (still in finding-ID
 // order), which is how delta evaluation re-checks just the requirements
 // affected by a host-state change.

@@ -102,7 +102,7 @@ func TestEngineFaultedCatalogCompletes(t *testing.T) {
 }
 
 func TestEngineParitySequentialVsParallel(t *testing.T) {
-	// Run and RunParallel must produce identical reports — order and
+	// Sequential and parallel runs must produce identical reports — order and
 	// content — on the same catalogue state, including under retries.
 	mk := func() *Catalog {
 		c := NewCatalog()
@@ -128,10 +128,10 @@ func TestEngineParitySequentialVsParallel(t *testing.T) {
 }
 
 func TestEnginePanicNeverCrashesRunParallel(t *testing.T) {
-	// Without a retry policy (the plain RunParallel path) a panicking
-	// check still must not take down the audit.
+	// Without a retry policy (a plain parallel run) a panicking check
+	// still must not take down the audit.
 	cat := faultedCatalog()
-	rep := cat.RunParallel(CheckOnly, 4)
+	rep := runParallel(cat, CheckOnly, 4)
 	if len(rep.Results) != 9 {
 		t.Fatalf("results = %d", len(rep.Results))
 	}

@@ -7,6 +7,12 @@ import (
 	"veridevops/internal/core"
 )
 
+// evalHost runs the coordinator's per-host evaluation step outside a
+// sweep or flush: no shared memo, no span.
+func evalHost(c *Coordinator, t Target, only []string, opts Options) HostResult {
+	return c.evaluate(t, only, 0, opts.normalized(1), nil, nil)
+}
+
 func TestApplyDeltaSubsetMergesIntoCache(t *testing.T) {
 	targets, hosts := LinuxFleet(1)
 	coord := NewCoordinator()
@@ -20,7 +26,7 @@ func TestApplyDeltaSubsetMergesIntoCache(t *testing.T) {
 
 	// Drift one package, then delta exactly its check.
 	hosts[0].Remove("aide")
-	hr := coord.ApplyDelta(targets[0], []string{"V-219343"}, opts)
+	hr := evalHost(coord, targets[0], []string{"V-219343"}, opts)
 	if hr.Stats.Requirements != 1 {
 		t.Errorf("delta evaluated %d checks, want 1", hr.Stats.Requirements)
 	}
@@ -51,7 +57,7 @@ func TestApplyDeltaSubsetMergesIntoCache(t *testing.T) {
 func TestApplyDeltaWithoutBaseRunsFully(t *testing.T) {
 	targets, _ := LinuxFleet(1)
 	coord := NewCoordinator()
-	hr := coord.ApplyDelta(targets[0], []string{"V-219343"}, Options{Incremental: true})
+	hr := evalHost(coord, targets[0], []string{"V-219343"}, Options{Incremental: true})
 	if hr.Stats.Requirements != 8 {
 		t.Errorf("cold delta evaluated %d checks, want full 8 (nothing to merge into)", hr.Stats.Requirements)
 	}
@@ -63,7 +69,7 @@ func TestApplyDeltaWithoutBaseRunsFully(t *testing.T) {
 func TestApplyDeltaNilOnlyIsFullAudit(t *testing.T) {
 	targets, _ := LinuxFleet(1)
 	coord := NewCoordinator()
-	hr := coord.ApplyDelta(targets[0], nil, Options{})
+	hr := evalHost(coord, targets[0], nil, Options{})
 	if hr.Stats.Requirements != 8 {
 		t.Errorf("nil-only delta evaluated %d checks, want 8", hr.Stats.Requirements)
 	}
@@ -82,19 +88,28 @@ func TestRefreshRestampsStaleVersion(t *testing.T) {
 		t.Fatalf("stale-version sweep replayed cache; want a re-audit")
 	}
 
+	// An empty subset re-stamps the cached report at the new version and
+	// replays it without executing anything.
 	hosts[0].SetConfig("/etc/motd", "banner", "bye")
-	if !coord.Refresh(targets[0]) {
-		t.Fatal("Refresh found no cache entry")
+	hr := evalHost(coord, targets[0], []string{}, opts)
+	if !hr.FromCache || hr.Stats.Requirements != 0 || len(hr.Report.Results) != 8 {
+		t.Fatalf("empty-subset evaluation = fromCache %v, %d executed, %d results; want a replay of 8",
+			hr.FromCache, hr.Stats.Requirements, len(hr.Report.Results))
 	}
 	_, st = coord.Sweep(targets, opts)
 	if st.CachedHosts != 1 {
-		t.Errorf("post-Refresh sweep re-audited; want a cache replay")
+		t.Errorf("post-re-stamp sweep re-audited; want a cache replay")
 	}
 
-	// Refresh without a cache entry reports false.
+	// With no cache entry to re-stamp, an empty subset runs fully.
 	coord.Invalidate(targets[0].Name)
-	if coord.Refresh(targets[0]) {
-		t.Error("Refresh on missing entry = true")
+	hr = evalHost(coord, targets[0], []string{}, opts)
+	if hr.FromCache || hr.Stats.Requirements != 8 {
+		t.Errorf("empty subset without a cache entry = fromCache %v, %d executed; want a full run of 8",
+			hr.FromCache, hr.Stats.Requirements)
+	}
+	if coord.CachedHosts() != 1 {
+		t.Error("the full run did not re-prime the cache")
 	}
 }
 

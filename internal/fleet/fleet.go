@@ -201,12 +201,14 @@ func NewCoordinator() *Coordinator {
 	}
 }
 
-// Invalidate drops one host's cached report, forcing its next incremental
-// audit to run fully.
+// Invalidate forgets one host: its cached report goes, forcing its next
+// incremental audit to run fully, and so does its observed cost, so
+// join/leave churn cannot grow the cost table or the saved cache.
 func (c *Coordinator) Invalidate(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.cache, name)
+	delete(c.costs, name)
 }
 
 // CachedHosts reports how many hosts currently have a cached report.
@@ -336,7 +338,7 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 			hs = shardSpans[shard].ChildTrace("host").
 				Tag("host", ts[i].Name).TagBool("stolen", stolen[shard])
 		}
-		hr := c.auditOne(ts[i], shard, opts, memo, hs)
+		hr := c.evaluate(ts[i], nil, shard, opts, memo, hs)
 		hr.Stolen = stolen[shard]
 		if hs != nil {
 			hs.TagBool("cached", hr.FromCache)
@@ -382,69 +384,4 @@ func recordSweepMetrics(m *telemetry.Metrics, st FleetStats) {
 		m.Observe("fleet.shard_wall", sh.Wall)
 		m.Observe("fleet.queue_wait", sh.QueueWait)
 	}
-}
-
-// auditOne audits a single target, consulting and priming the incremental
-// cache when the target exposes a version probe, and routing checks
-// through the sweep's shared dedup memo when one is wired. span, when
-// non-nil, is the host's span; the catalogue run parents its check spans
-// there.
-func (c *Coordinator) auditOne(t Target, shard int, opts Options, memo *core.CheckMemo, span *telemetry.Span) HostResult {
-	hr := HostResult{Target: t.Name, Shard: shard}
-	if t.Catalog == nil {
-		return hr
-	}
-	versioned := t.Version != nil
-	var version uint64
-	if versioned {
-		version = t.Version()
-		if opts.Incremental {
-			if e, ok := c.lookup(t.Name); ok && e.version == version {
-				hr.FromCache = true
-				hr.Report = e.report
-				// Stats are zero on a replay, so Degraded must be
-				// recomputed from the cached verdicts: a host that was
-				// unreachable when the cache was primed is still reported
-				// degraded by the sweeps that replay it.
-				hr.Degraded = degradedReport(e.report)
-				return hr
-			}
-		}
-	}
-	t0 := time.Now()
-	rep, st := t.Catalog.RunEngine(core.RunOptions{
-		Mode:    opts.Mode,
-		Workers: opts.Workers,
-		Checks:  opts.Checks,
-		Memo:    memo,
-		Span:    span,
-		Metrics: opts.Metrics,
-	})
-	wall := time.Since(t0)
-	c.recordCost(t.Name, wall)
-	opts.Metrics.Observe("fleet.host_wall", wall)
-	hr.Report, hr.Stats = rep, st
-	hr.Degraded = st.Requirements > 0 && st.Errors == st.Requirements
-	if versioned {
-		// Prime the cache on every versioned run — full sweeps included —
-		// so the first incremental sweep after a full one already hits.
-		c.store(t.Name, version, rep)
-	}
-	return hr
-}
-
-// degradedReport reports whether a replayed report has the degraded
-// shape: at least one verdict and every final status ERROR — the same
-// judgement auditOne makes from live RunStats, recomputed from the
-// verdicts because a cache replay carries zero stats.
-func degradedReport(rep core.Report) bool {
-	if len(rep.Results) == 0 {
-		return false
-	}
-	for _, r := range rep.Results {
-		if r.After != core.CheckError {
-			return false
-		}
-	}
-	return true
 }

@@ -14,11 +14,13 @@ import (
 // Streamer is the push-based incremental evaluator: it subscribes to
 // per-host EventLog tails, coalesces the state keys dirtied since the
 // last flush, maps them through each host's DepIndex (its catalogue's
-// shared read plan) to the affected checks, and re-runs only those — routing the work through the same
-// shard pool, engine retry/fault tolerance, dedup memo and incremental
-// cache the batch sweeps use. Between flushes it maintains a live
-// fleet-compliance view (per-host, per-finding verdicts) and raises one
-// alarm per violation episode, the monitor package's dedup discipline.
+// shared read plan) to the affected checks, and re-runs only those —
+// through the coordinator's per-host evaluation step, with the same
+// engine retry/fault tolerance, dedup memo and incremental cache the
+// batch sweeps use. Between flushes it maintains a live View (per-host,
+// per-finding verdicts) that raises one alarm per violation episode; the
+// View is keyed by host name, so re-Watching a host continues its
+// episodes and only Unwatch forgets them.
 //
 // The coalescing window is the caller's flush cadence: event
 // notifications only mark hosts dirty (cheap, lock-one-map cheap), and
@@ -35,9 +37,7 @@ type Streamer struct {
 	hosts map[string]*streamHost
 	dirty map[string]bool
 	stats StreamStats
-	// pass/fail/incomplete are the live fleet-wide verdict counts,
-	// updated incrementally as deltas fold in.
-	pass, fail, incomplete int
+	view  View
 }
 
 // StreamOptions configures a Streamer's evaluations.
@@ -84,10 +84,9 @@ func (o StreamOptions) evalOptions() Options {
 	}
 }
 
-// streamHost is the streamer's per-host state: the audit target, its
-// event source, its dependency index (shared with every host whose
-// catalogue has equal declarations), the tail cursor, and the live
-// verdict view.
+// streamHost is one Watch registration: the audit target, its event
+// source, its dependency index (shared with every host whose catalogue
+// has equal declarations) and the tail cursor.
 type streamHost struct {
 	target Target
 	log    *host.EventLog
@@ -99,12 +98,6 @@ type streamHost struct {
 	// runs the full catalogue, because there is no verdict baseline to
 	// delta against.
 	primed bool
-	// status holds the host's current verdict per finding ID.
-	status map[string]core.CheckStatus
-	// inViolation dedups alarms per violation episode: an alarm is
-	// raised when a finding enters non-PASS and not again until it has
-	// passed in between (the monitor package's discipline).
-	inViolation map[string]bool
 }
 
 // StreamStats is the streamer's cumulative telemetry.
@@ -205,15 +198,12 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 // Watch registers a target and its event source. The host starts dirty
 // and unprimed: its first flush runs the full catalogue to establish the
 // verdict baseline, and every subsequent flush deltas from the event
-// tail. Re-watching a name replaces the previous registration.
+// tail. Re-watching a name replaces the previous registration but keeps
+// the host's verdicts and open episodes in the live view: the new
+// registration's full run folds over them, so an episode still open
+// raises no second alarm.
 func (s *Streamer) Watch(t Target, log *host.EventLog) {
-	sh := &streamHost{
-		target:      t,
-		log:         log,
-		index:       BuildDepIndex(t.Catalog),
-		status:      map[string]core.CheckStatus{},
-		inViolation: map[string]bool{},
-	}
+	sh := &streamHost{target: t, log: log, index: BuildDepIndex(t.Catalog)}
 	if log != nil {
 		name := t.Name
 		sh.cancel = log.Subscribe(func(host.Event) { s.markDirty(name) })
@@ -225,8 +215,8 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.hosts[t.Name]; old != nil {
-		s.detachLocked(old)
+	if old := s.hosts[t.Name]; old != nil && old.cancel != nil {
+		old.cancel()
 	}
 	s.hosts[t.Name] = sh
 	s.dirty[t.Name] = true
@@ -239,36 +229,16 @@ func (s *Streamer) Unwatch(name string) {
 	s.mu.Lock()
 	sh := s.hosts[name]
 	if sh != nil {
-		s.detachLocked(sh)
+		if sh.cancel != nil {
+			sh.cancel()
+		}
 		delete(s.hosts, name)
 		delete(s.dirty, name)
+		s.view.Drop(name)
 	}
 	s.mu.Unlock()
 	if sh != nil {
 		s.coord.Invalidate(name)
-	}
-}
-
-// detachLocked cancels a host's subscription and removes its verdicts
-// from the live counts; callers hold s.mu.
-func (s *Streamer) detachLocked(sh *streamHost) {
-	if sh.cancel != nil {
-		sh.cancel()
-	}
-	for _, st := range sh.status {
-		s.countLocked(st, -1)
-	}
-}
-
-// countLocked moves one verdict in or out of the live counts.
-func (s *Streamer) countLocked(st core.CheckStatus, delta int) {
-	switch st {
-	case core.CheckPass:
-		s.pass += delta
-	case core.CheckFail:
-		s.fail += delta
-	default:
-		s.incomplete += delta
 	}
 }
 
@@ -287,31 +257,22 @@ func (s *Streamer) Hosts() int {
 	return len(s.hosts)
 }
 
-// DirtyHosts reports how many watched hosts have unconsumed events.
-func (s *Streamer) DirtyHosts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.dirty)
-}
-
-// Counts returns the live fleet-wide verdict counts. Hosts not yet
-// primed contribute nothing.
+// Counts returns the live fleet-wide verdict counts. Hosts never
+// evaluated contribute nothing; a re-watched host keeps its last
+// verdicts until the new registration's first flush replaces them.
 func (s *Streamer) Counts() (pass, fail, incomplete int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pass, s.fail, s.incomplete
+	return s.view.Counts()
 }
 
 // Compliance is the live fraction of PASS verdicts across the fleet; an
 // empty (or unprimed) view is fully compliant, matching
 // FleetReport.Compliance.
 func (s *Streamer) Compliance() float64 {
-	pass, fail, inc := s.Counts()
-	total := pass + fail + inc
-	if total == 0 {
-		return 1
-	}
-	return float64(pass) / float64(total)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.view.Compliance()
 }
 
 // Stats returns the cumulative streamer telemetry, with the
@@ -335,8 +296,8 @@ type deltaPlan struct {
 	next   int
 	full   bool
 	// only is the affected-check subset; nil when full. A non-nil empty
-	// only means the delta touches no checks at all: the plan degrades
-	// to a cache re-stamp (Coordinator.Refresh) with no evaluation.
+	// only means the delta touches no checks at all: the evaluation
+	// degrades to a cache re-stamp.
 	only []string
 }
 
@@ -421,8 +382,9 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	evalOpts := s.opts.evalOptions()
 
 	// Evaluate: dirty hosts fan out over the shard pool; each host's
-	// subset (or full catalogue) runs through the coordinator's delta
-	// path, sharing this flush's memo and span tree.
+	// subset (or full catalogue, or zero-check re-stamp) runs through the
+	// coordinator's evaluation step, sharing this flush's memo and span
+	// tree.
 	results, _ := engine.Map(plans, s.opts.Shards, func(i int, p deltaPlan) HostResult {
 		var sp *telemetry.Span
 		if root != nil {
@@ -430,23 +392,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 			// rooted as its own trace for the store's slowest-trace search.
 			sp = root.ChildTrace("delta").Tag("host", p.sh.target.Name).TagBool("full", p.full)
 		}
-		var hr HostResult
-		if p.full {
-			hr = s.coord.applyDelta(p.sh.target, nil, i%s.opts.Shards, evalOpts, memo, sp)
-		} else if len(p.only) == 0 {
-			// Zero affected checks: verdicts cannot have moved; re-stamp
-			// the cache at the current version so fallback sweeps still
-			// replay instead of re-auditing.
-			s.coord.Refresh(p.sh.target)
-			if e, ok := s.coord.lookup(p.sh.target.Name); ok {
-				hr = HostResult{Target: p.sh.target.Name, FromCache: true, Report: e.report}
-				hr.Degraded = degradedReport(e.report)
-			} else {
-				hr = HostResult{Target: p.sh.target.Name}
-			}
-		} else {
-			hr = s.coord.applyDelta(p.sh.target, p.only, i%s.opts.Shards, evalOpts, memo, sp)
-		}
+		hr := s.coord.evaluate(p.sh.target, p.only, i%s.opts.Shards, evalOpts, memo, sp)
 		if sp != nil {
 			sp.TagInt("checks", len(p.only)).End()
 		}
@@ -461,9 +407,12 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	for i, hr := range results {
 		p := plans[i]
 		sh := p.sh
-		if _, still := s.hosts[sh.target.Name]; !still {
-			// Unwatched mid-flush: drop the result; detachLocked already
-			// removed its verdicts.
+		if s.hosts[sh.target.Name] != sh {
+			// Unwatched or re-Watched mid-flush: the result belongs to a
+			// registration that is gone. Drop it, and the cache entry the
+			// evaluation stored after Unwatch or Watch ran; a replacement
+			// registration's full run re-primes the cache.
+			s.coord.Invalidate(sh.target.Name)
 			continue
 		}
 		sh.cursor = p.next
@@ -485,32 +434,9 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 		fr.ChecksEvaluated += checks
 		fr.ChecksExecuted += executed
 
-		for _, r := range hr.Report.Results {
-			old, had := sh.status[r.FindingID]
-			if had {
-				if old == r.After {
-					continue
-				}
-				s.countLocked(old, -1)
-			}
-			sh.status[r.FindingID] = r.After
-			s.countLocked(r.After, +1)
-		}
-		// Episode bookkeeping runs over the full merged report so a
-		// subset delta can both open and close episodes it touched.
-		for _, r := range hr.Report.Results {
-			if r.After != core.CheckPass {
-				if !sh.inViolation[r.FindingID] {
-					sh.inViolation[r.FindingID] = true
-					fr.Alarms = append(fr.Alarms, Alarm{
-						At: now, Host: sh.target.Name, Finding: r.FindingID, Status: r.After,
-					})
-				}
-			} else if sh.inViolation[r.FindingID] {
-				delete(sh.inViolation, r.FindingID)
-				fr.Repairs++
-			}
-		}
+		var repairs int
+		fr.Alarms, repairs = s.view.Fold(now, hr, fr.Alarms)
+		fr.Repairs += repairs
 	}
 	fr.Wall = time.Since(t0)
 
@@ -526,10 +452,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	s.stats.ChecksExecuted += fr.ChecksExecuted
 	s.stats.Alarms += len(fr.Alarms)
 	s.stats.Repairs += fr.Repairs
-	compliance := 1.0
-	if total := s.pass + s.fail + s.incomplete; total > 0 {
-		compliance = float64(s.pass) / float64(total)
-	}
+	compliance := s.view.Compliance()
 	s.mu.Unlock()
 
 	recordFlushMetrics(s.opts.Metrics, fr, compliance)

@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,7 +297,7 @@ func TestStreamerConcurrentEventsRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Flush(time.Duration(i) * time.Millisecond)
 		s.Compliance()
-		s.DirtyHosts()
+		s.Hosts()
 	}
 	close(stop)
 	wg.Wait()
@@ -305,5 +309,162 @@ func TestStreamerConcurrentEventsRace(t *testing.T) {
 	s.Flush(time.Second)
 	if c := s.Compliance(); c != 1 {
 		t.Errorf("final compliance = %v, want 1", c)
+	}
+}
+
+// gate holds the next Check of a gatedCheck once armed: the check
+// signals entered, then blocks until release, so a test can act while a
+// flush is mid-evaluation.
+type gate struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+type gatedCheck struct {
+	core.CheckableEnforceableRequirement
+	g *gate
+}
+
+func (c gatedCheck) Check() core.CheckStatus {
+	if c.g.armed.CompareAndSwap(true, false) {
+		c.g.entered <- struct{}{}
+		<-c.g.release
+	}
+	return c.CheckableEnforceableRequirement.Check()
+}
+
+// gatedFixture is a primed one-host streamer whose aide check
+// (V-219343) can be held mid-flush.
+func gatedFixture(t *testing.T) (*Streamer, *Coordinator, Target, *host.Linux, *gate) {
+	t.Helper()
+	targets, hosts := LinuxFleet(1)
+	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
+	cat := core.NewCatalog()
+	for _, r := range targets[0].Catalog.All() {
+		if r.FindingID() == "V-219343" {
+			r = gatedCheck{r, g}
+		}
+		cat.MustRegister(r)
+	}
+	tg := Target{Name: targets[0].Name, Catalog: cat, Version: targets[0].Version}
+	coord := NewCoordinator()
+	s := NewStreamer(coord, StreamOptions{})
+	s.Watch(tg, hosts[0].Log())
+	s.Flush(0)
+	return s, coord, tg, hosts[0], g
+}
+
+// flushHeld runs a flush whose gated check is held while mid runs.
+func flushHeld(s *Streamer, g *gate, at time.Duration, mid func()) FlushResult {
+	g.armed.Store(true)
+	done := make(chan FlushResult)
+	go func() { done <- s.Flush(at) }()
+	<-g.entered
+	mid()
+	g.release <- struct{}{}
+	return <-done
+}
+
+func TestStreamerReWatchDuringFlush(t *testing.T) {
+	s, _, tg, h, g := gatedFixture(t)
+	h.Remove("aide")
+	fr := flushHeld(s, g, time.Second, func() { s.Watch(tg, h.Log()) })
+	alarms := len(fr.Alarms)
+	if len(fr.Hosts) != 0 {
+		t.Errorf("the replaced registration's result was folded: %+v", fr.Hosts)
+	}
+	fr = s.Flush(2 * time.Second)
+	alarms += len(fr.Alarms)
+	if len(fr.Hosts) != 1 || !fr.Hosts[0].Full {
+		t.Fatalf("replacement flush = %+v, want one full run", fr.Hosts)
+	}
+
+	rep, _ := Sweep([]Target{tg}, Options{})
+	p, f, i := rep.Counts()
+	if gp, gf, gi := s.Counts(); gp != p || gf != f || gi != i {
+		t.Errorf("live counts %d/%d/%d, fresh sweep %d/%d/%d", gp, gf, gi, p, f, i)
+	}
+	if alarms != 1 {
+		t.Errorf("one violation episode raised %d alarms, want 1", alarms)
+	}
+}
+
+func TestStreamerUnwatchDuringFlush(t *testing.T) {
+	s, coord, tg, h, g := gatedFixture(t)
+	h.Remove("aide")
+	fr := flushHeld(s, g, time.Second, func() { s.Unwatch(tg.Name) })
+	if len(fr.Hosts) != 0 {
+		t.Errorf("departed host's result was folded: %+v", fr.Hosts)
+	}
+	if n := coord.CachedHosts(); n != 0 {
+		t.Errorf("CachedHosts = %d after Unwatch mid-flush, want 0", n)
+	}
+	if p, f, i := s.Counts(); p+f+i != 0 {
+		t.Errorf("departed host still counted: %d/%d/%d", p, f, i)
+	}
+}
+
+// TestStreamerReWatchKeepsOpenEpisode: the live view is keyed by host
+// name, so re-Watching a violating host continues its episode, while
+// Unwatch forgets the host and a later Watch starts a new one.
+func TestStreamerReWatchKeepsOpenEpisode(t *testing.T) {
+	s, targets, hosts := streamFixture(t, 1)
+	s.Flush(0)
+	hosts[0].Remove("aide")
+	if fr := s.Flush(time.Second); len(fr.Alarms) != 1 {
+		t.Fatalf("drift raised %d alarms, want 1", len(fr.Alarms))
+	}
+
+	s.Watch(targets[0], hosts[0].Log())
+	fr := s.Flush(2 * time.Second)
+	if len(fr.Hosts) != 1 || !fr.Hosts[0].Full {
+		t.Fatalf("re-Watch flush = %+v, want one full run", fr.Hosts)
+	}
+	if len(fr.Alarms) != 0 {
+		t.Errorf("re-Watch re-alarmed the open episode: %+v", fr.Alarms)
+	}
+	if p, f, _ := s.Counts(); p != 7 || f != 1 {
+		t.Errorf("counts after re-Watch = %d pass %d fail, want 7/1", p, f)
+	}
+
+	s.Unwatch(targets[0].Name)
+	s.Watch(targets[0], hosts[0].Log())
+	if fr := s.Flush(3 * time.Second); len(fr.Alarms) != 1 {
+		t.Errorf("Unwatch+Watch raised %d alarms, want 1 (a new episode)", len(fr.Alarms))
+	}
+}
+
+func TestCoordinatorForgetsDepartedHosts(t *testing.T) {
+	const cycles = 50
+	targets, hosts := LinuxFleet(1 + cycles)
+	coord := NewCoordinator()
+	s := NewStreamer(coord, StreamOptions{})
+	s.Watch(targets[0], hosts[0].Log())
+	for i := 1; i <= cycles; i++ {
+		s.Watch(targets[i], hosts[i].Log())
+		s.Flush(time.Duration(i) * time.Second)
+		s.Unwatch(targets[i].Name)
+	}
+
+	coord.mu.Lock()
+	costs := len(coord.costs)
+	coord.mu.Unlock()
+	if costs != 1 {
+		t.Errorf("cost table holds %d hosts after %d join/leave cycles, want 1", costs, cycles)
+	}
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := coord.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f cacheFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.Hosts[targets[0].Name]; len(f.Hosts) != 1 || !ok {
+		t.Errorf("saved cache holds %d hosts, want only the resident %s", len(f.Hosts), targets[0].Name)
 	}
 }

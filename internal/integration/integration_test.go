@@ -202,11 +202,11 @@ func TestParallelCatalogueOnSimulatedHost(t *testing.T) {
 	host.DriftLinux(h, 6, rng)
 
 	seq := cat.Run(core.CheckOnly)
-	par := cat.RunParallel(core.CheckOnly, 4)
+	par, _ := cat.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 4})
 	if seq.Compliance() != par.Compliance() {
 		t.Errorf("parallel audit diverged: %v vs %v", seq.Compliance(), par.Compliance())
 	}
-	rep := cat.RunParallel(core.CheckAndEnforce, 4)
+	rep, _ := cat.RunEngine(core.RunOptions{Mode: core.CheckAndEnforce, Workers: 4})
 	if rep.Compliance() != 1 {
 		t.Errorf("parallel enforcement incomplete:\n%s", rep)
 	}

@@ -49,12 +49,10 @@ func (o Options) normalized() Options {
 }
 
 // executor is the per-run state: the fleet under mutation, the evaluator
-// (coordinator or streamer), and the executor-owned compliance view.
-//
-// Verdict state and alarm/repair episodes are tracked here, from the
-// full merged per-host reports both evaluators return — not read from
-// the streamer's own episode counters — so the two modes expose one
-// comparable accounting, immune to the episode resets a re-Watch causes.
+// (coordinator or streamer), and the executor-owned live view. Both modes
+// fold the full per-host reports their evaluator returns into that one
+// fleet.View, so verdicts and alarm/repair episodes are counted the same
+// way whichever evaluator produced them.
 type executor struct {
 	spec Spec
 	opts Options
@@ -65,17 +63,13 @@ type executor struct {
 	str   *fleet.Streamer
 	churn *loadgen.Churn
 
-	// status is the live verdict view: host -> finding -> final status.
-	status map[string]map[string]core.CheckStatus
-	// viol marks open violation episodes (host -> finding); degraded the
-	// hosts whose last report was all-ERROR.
-	viol     map[string]map[string]bool
-	degraded map[string]bool
-	alarms   int
-	repairs  int
+	view    fleet.View
+	alarms  int
+	repairs int
 	// opened/closed count the episodes the current tick moved, for the
-	// alarm/repair pulse signals.
+	// alarm/repair pulse signals; buf is Fold's reused alarm slice.
 	opened, closed int
+	buf            []fleet.Alarm
 
 	tr  *trace.Trace
 	res *Result
@@ -99,15 +93,12 @@ func Run(sp Spec, opts Options) (*Result, error) {
 	}
 
 	ex := &executor{
-		spec:     sp,
-		opts:     opts,
-		mode:     "sweep",
-		fleet:    f,
-		coord:    fleet.NewCoordinator(),
-		status:   map[string]map[string]core.CheckStatus{},
-		viol:     map[string]map[string]bool{},
-		degraded: map[string]bool{},
-		tr:       trace.New(),
+		spec:  sp,
+		opts:  opts,
+		mode:  "sweep",
+		fleet: f,
+		coord: fleet.NewCoordinator(),
+		tr:    trace.New(),
 	}
 	if opts.Push {
 		ex.mode = "push"
@@ -168,7 +159,7 @@ func Run(sp Spec, opts Options) (*Result, error) {
 
 	ex.res.Ticks = len(ex.res.Schedule) - len(ex.res.Steps)
 	ex.res.Alarms, ex.res.Repairs = ex.alarms, ex.repairs
-	ex.res.FinalCompliance = ex.compliance()
+	ex.res.FinalCompliance = ex.view.Compliance()
 	ex.res.FinalState = ex.finalState()
 	ex.res.Trace = ex.tr
 	sort.Slice(ex.res.Steps, func(a, b int) bool { return ex.res.Steps[a].Index < ex.res.Steps[b].Index })
@@ -205,7 +196,7 @@ func (ex *executor) tick(now time.Duration) {
 	if ex.str != nil {
 		fr := ex.str.Flush(now)
 		for _, d := range fr.Hosts {
-			ex.fold(d.Host, d.Result.Report)
+			ex.fold(now, d.Result)
 		}
 	} else {
 		rep, _ := ex.coord.Sweep(ex.fleet.Targets(), fleet.Options{
@@ -217,13 +208,13 @@ func (ex *executor) tick(now time.Duration) {
 			Trace:       ex.opts.Trace,
 		})
 		for _, hr := range rep.Hosts {
-			ex.fold(hr.Target, hr.Report)
+			ex.fold(now, hr)
 		}
 	}
 
 	t := ms(now)
-	comp := ex.compliance()
-	failing, incomplete := ex.countNonPass()
+	comp := ex.view.Compliance()
+	_, failing, incomplete := ex.view.Counts()
 	ex.tr.SetNum("compliance", t, comp)
 	ex.tr.SetNum("failing", t, float64(failing))
 	ex.tr.SetNum("incomplete", t, float64(incomplete))
@@ -235,50 +226,15 @@ func (ex *executor) tick(now time.Duration) {
 		now, comp, failing, incomplete, ex.alarms, ex.repairs)
 }
 
-// fold merges one host report into the live view and moves its violation
-// episodes: a finding entering non-PASS opens one episode (one alarm), a
-// finding returning to PASS closes it (one repair) — the monitor
-// package's dedup discipline, applied identically in both modes.
-func (ex *executor) fold(name string, rep core.Report) {
-	hs := ex.status[name]
-	if hs == nil {
-		hs = map[string]core.CheckStatus{}
-		ex.status[name] = hs
-	}
-	hv := ex.viol[name]
-	if hv == nil {
-		hv = map[string]bool{}
-		ex.viol[name] = hv
-	}
-	for _, r := range rep.Results {
-		hs[r.FindingID] = r.After
-		if r.After != core.CheckPass {
-			if !hv[r.FindingID] {
-				hv[r.FindingID] = true
-				ex.alarms++
-				ex.opened++
-			}
-		} else if hv[r.FindingID] {
-			delete(hv, r.FindingID)
-			ex.repairs++
-			ex.closed++
-		}
-	}
-	ex.degraded[name] = degradedReport(rep)
-}
-
-// degradedReport mirrors the fleet package's judgement: at least one
-// verdict and every final status ERROR.
-func degradedReport(rep core.Report) bool {
-	if len(rep.Results) == 0 {
-		return false
-	}
-	for _, r := range rep.Results {
-		if r.After != core.CheckError {
-			return false
-		}
-	}
-	return true
+// fold merges one host result into the live view and counts the
+// violation episodes it opened (alarms) and closed (repairs).
+func (ex *executor) fold(now time.Duration, hr fleet.HostResult) {
+	var repairs int
+	ex.buf, repairs = ex.view.Fold(now, hr, ex.buf[:0])
+	ex.alarms += len(ex.buf)
+	ex.opened += len(ex.buf)
+	ex.repairs += repairs
+	ex.closed += repairs
 }
 
 // verifyReads runs the dynamic declared-reads oracle over the fleet's
@@ -308,58 +264,13 @@ func (ex *executor) verifyReads() {
 		len(ex.res.ReadViolations), fatal, len(hosts))
 }
 
-// prune drops a departed host from the live view. Its open episodes are
-// orphaned: the alarms stay counted (they happened) but can no longer be
-// repaired.
-func (ex *executor) prune(name string) {
-	delete(ex.status, name)
-	delete(ex.viol, name)
-	delete(ex.degraded, name)
-}
-
-// compliance is the PASS fraction over every verdict in the live view;
-// an empty (not yet evaluated) view is fully compliant, matching
-// fleet.FleetReport.Compliance.
-func (ex *executor) compliance() float64 {
-	pass, total := 0, 0
-	for _, hs := range ex.status {
-		for _, st := range hs {
-			total++
-			if st == core.CheckPass {
-				pass++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(pass) / float64(total)
-}
-
-func (ex *executor) countNonPass() (failing, incomplete int) {
-	for _, hs := range ex.status {
-		for _, st := range hs {
-			switch st {
-			case core.CheckPass:
-			case core.CheckFail:
-				failing++
-			default:
-				incomplete++
-			}
-		}
-	}
-	return
-}
-
 // finalState renders the live view as sorted "host finding status"
 // lines — the cross-mode equivalence surface the fuzzer oracles on.
 func (ex *executor) finalState() []string {
 	var out []string
-	for name, hs := range ex.status {
-		for id, st := range hs {
-			out = append(out, fmt.Sprintf("%s %s %s", name, id, st))
-		}
-	}
+	ex.view.Each(func(name, id string, st core.CheckStatus) {
+		out = append(out, fmt.Sprintf("%s %s %s", name, id, st))
+	})
 	sort.Strings(out)
 	return out
 }
@@ -546,7 +457,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 			if ex.str != nil {
 				ex.str.Unwatch(name)
 			}
-			ex.prune(name)
+			ex.view.Drop(name)
 			names = append(names, name)
 		}
 		sr.Skipped = len(names) == 0
@@ -590,7 +501,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 				if ex.str != nil {
 					ex.str.Unwatch(ev.Host)
 				}
-				ex.prune(ev.Host)
+				ex.view.Drop(ev.Host)
 			}
 		}
 		sr.Target = "fleet"
@@ -697,7 +608,7 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 		want := parseStatus(st.Status)
 		var bad []string
 		for _, h := range sel {
-			got, ok := ex.status[h.Name][st.Finding]
+			got, ok := ex.view.Status(h.Name, st.Finding)
 			if !ok {
 				bad = append(bad, fmt.Sprintf("%s: no verdict for %s yet", h.Name, st.Finding))
 			} else if got != want {
@@ -711,7 +622,7 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 			sr.Detail = strings.Join(bad, "; ")
 		}
 	case "compliance":
-		got := ex.compliance()
+		got := ex.view.Compliance()
 		sr.OK = cmp(got, st.Op, st.Num)
 		sr.Detail = fmt.Sprintf("compliance %.4f %s %v", got, st.Op, st.Num)
 	case "alarms":
@@ -732,8 +643,8 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 		want := st.Value != "false"
 		var bad []string
 		for _, h := range sel {
-			if ex.degraded[h.Name] != want {
-				bad = append(bad, fmt.Sprintf("%s: degraded=%v, want %v", h.Name, ex.degraded[h.Name], want))
+			if got := ex.view.Degraded(h.Name); got != want {
+				bad = append(bad, fmt.Sprintf("%s: degraded=%v, want %v", h.Name, got, want))
 			}
 		}
 		sr.OK = len(bad) == 0
