@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint verify-reads sarif build test race perfbench-test fleet-race trace-race bench bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
+.PHONY: check vet lint verify-reads sarif build test race perfbench-test fleet-race trace-race bench bench-engine bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
 
 # check is the CI gate: vet, the repository's own analyzers, build
 # everything, then the full test suite under the race detector (the
@@ -77,6 +77,12 @@ bench-telemetry:
 bench-trace:
 	$(GO) test -run=^$$ -bench='BenchmarkStore|BenchmarkQuery' -benchmem ./internal/telemetry/store/
 	$(GO) run ./cmd/fleetaudit -bench-trace -o BENCH_trace.json
+
+# bench-engine runs the attempt-loop benchmarks: BenchmarkAttemptPanic is
+# one recovered panic twelve frames deep, the cost every check on an
+# unreachable host pays.
+bench-engine:
+	$(GO) test -run=^$$ -bench=BenchmarkAttempt -benchmem ./internal/engine/
 
 # bench-steal runs the scheduler-focused pair: skewed-fleet static vs
 # work-stealing, and dedup off vs on.

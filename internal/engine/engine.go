@@ -20,7 +20,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
+	"runtime"
 	"time"
 
 	"veridevops/internal/telemetry"
@@ -105,13 +105,40 @@ type Stats struct {
 	Err error
 }
 
-// PanicError wraps a recovered panic value.
+// panicDepth bounds the program counters a PanicError keeps: the panic
+// site and its callers, deep enough to reach the attempt loop.
+const panicDepth = 32
+
+// PanicError wraps a recovered panic value together with the program
+// counters of the panicking goroutine, captured at recovery. Keeping the
+// counters instead of a formatted goroutine dump makes a recovered panic
+// cost one allocation; Stack symbolises them only when asked.
 type PanicError struct {
 	Value any
-	Stack []byte
+	pcs   [panicDepth]uintptr
+	n     int
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("engine: recovered panic: %v", e.Value) }
+
+// Stack formats the recovered call stack, innermost frame first: one
+// "function\n\tfile:line\n" entry per frame, inlined calls included. It
+// starts at the function that called panic; for a runtime error such as a
+// nil dereference, the runtime frames that raised it come first. Frames
+// past panicDepth are dropped.
+func (e *PanicError) Stack() []byte {
+	var b []byte
+	frames := runtime.CallersFrames(e.pcs[:e.n])
+	for {
+		f, more := frames.Next()
+		if f.PC != 0 {
+			b = fmt.Appendf(b, "%s\n\t%s:%d\n", f.Function, f.File, f.Line)
+		}
+		if !more {
+			return b
+		}
+	}
+}
 
 // TimeoutError reports an attempt abandoned at its deadline.
 type TimeoutError struct{ Timeout time.Duration }
@@ -226,7 +253,11 @@ func runProtected[R any](op func(context.Context) R, timeout time.Duration) (R, 
 func runRecovered[R any](op func() R) (v R, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			pe := &PanicError{Value: r}
+			// Skip runtime.Callers, this deferred func and runtime.gopanic,
+			// so the first frame kept is the one that panicked.
+			pe.n = runtime.Callers(3, pe.pcs[:])
+			err = pe
 		}
 	}()
 	return op(), nil
