@@ -316,7 +316,7 @@ func printSweep(w io.Writer, title string, rep fleet.FleetReport, st fleet.Fleet
 	t.WriteText(w)
 	if telemetry {
 		st.ShardTable(title + ": shards").WriteText(w)
-		st.HostTable(title + ": hosts").WriteText(w)
+		st.HostTable(title+": hosts", rep).WriteText(w)
 	}
 }
 

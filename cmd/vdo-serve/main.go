@@ -141,16 +141,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "vdo-serve: %d hosts, window %v, fallback %v, %.0f ev/s (seed %d)\n",
 		*hosts, *window, *sweepFallback, *rate, *seed)
-	s.Flush(0) // prime the verdict baseline before churn starts
+	// Prime the verdict baseline before churn starts. Its alarms count
+	// towards the session's; its whole-catalogue runs would swamp
+	// checks-per-event, so the steady-state counters start after it.
+	prime := s.Flush(0)
+	sum := flushSums{alarms: len(prime.Alarms), repairs: prime.Repairs}
 	if !*quiet {
 		p, fl, inc := s.Counts()
 		fmt.Fprintf(stdout, "baseline: compliance %.4f (%d pass / %d fail / %d incomplete)\n",
 			s.Compliance(), p, fl, inc)
 	}
-	// Steady-state counters start after priming: the baseline's
-	// whole-catalogue runs would otherwise swamp checks-per-event.
-	primed := s.Stats()
-
 	// The daemon is the deployment shape of the evaluator: its cadence
 	// is wall-clock by design (virtual time lives in the loadgen
 	// driver), so the raw tickers are legitimate here.
@@ -201,6 +201,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	flush := func(elapsed time.Duration) {
 		fr := s.Flush(elapsed)
+		sum.add(fr)
 		if *quiet {
 			return
 		}
@@ -236,7 +237,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// Drain: one final flush so nothing dirty is dropped on shutdown.
 	flush(time.Since(start))
-	writeSummary(stdout, s, f, primed, time.Since(start), events, skipped, sweeps, replays, reaudits)
+	writeSummary(stdout, s, f, sum, time.Since(start), events, skipped, sweeps, replays, reaudits)
 	if mets != nil {
 		fmt.Fprintln(stdout)
 		mets.Table("metrics").WriteText(stdout)
@@ -255,35 +256,55 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// flushSums is the session's running sum of the FlushResults it has
+// seen.
+type flushSums struct {
+	flushes, deltas, events, fullAudits, evaluated, executed, alarms, repairs int
+}
+
+func (c *flushSums) add(fr fleet.FlushResult) {
+	if len(fr.Hosts) > 0 {
+		c.flushes++
+	}
+	c.deltas += len(fr.Hosts)
+	for _, d := range fr.Hosts {
+		if d.Full {
+			c.fullAudits++
+		}
+	}
+	c.events += fr.Events
+	c.evaluated += fr.ChecksEvaluated
+	c.executed += fr.ChecksExecuted
+	c.alarms += len(fr.Alarms)
+	c.repairs += fr.Repairs
+}
+
 // writeSummary prints the end-of-session roll-up: uptime, churn volume,
-// streaming counters (steady-state: the priming baseline in primed is
-// subtracted out) and the final live compliance view.
-func writeSummary(w io.Writer, s *fleet.Streamer, f *loadgen.Fleet, primed fleet.StreamStats,
+// the summed flush counters and the final live compliance view.
+func writeSummary(w io.Writer, s *fleet.Streamer, f *loadgen.Fleet, sum flushSums,
 	uptime time.Duration, events, skipped, sweeps, replays, reaudits int) {
-	st := s.Stats()
-	st.Flushes -= primed.Flushes
-	st.Events -= primed.Events
-	st.DeltaHosts -= primed.DeltaHosts
-	st.FullAudits -= primed.FullAudits
-	st.ChecksEvaluated -= primed.ChecksEvaluated
-	st.ChecksExecuted -= primed.ChecksExecuted
+	// Read localization is a property of the watched catalogues — the
+	// fleet's current members — not of the session's churn.
+	var loc fleet.FleetStats
+	for _, h := range f.Hosts() {
+		p := h.Catalog().Plan()
+		loc.IndexedChecks += len(p.Indexed())
+		loc.UnindexedChecks += len(p.Unindexed())
+	}
 	pass, fail, incomplete := s.Counts()
 	t := report.New(fmt.Sprintf("vdo-serve session: %d hosts, uptime %v",
 		s.Hosts(), uptime.Round(time.Millisecond)),
 		"measure", "value")
 	t.AddRow("churn events applied / skipped", fmt.Sprintf("%d / %d", events, skipped))
-	t.AddRow("flushes / delta evaluations", fmt.Sprintf("%d / %d", st.Flushes, st.DeltaHosts))
-	t.AddRow("events consumed / full audits", fmt.Sprintf("%d / %d", st.Events, st.FullAudits))
-	t.AddRow("checks evaluated / executed", fmt.Sprintf("%d / %d", st.ChecksEvaluated, st.ChecksExecuted))
-	if st.Events > 0 {
-		t.AddRow("checks per event", fmt.Sprintf("%.2f", float64(st.ChecksEvaluated)/float64(st.Events)))
+	t.AddRow("flushes / delta evaluations", fmt.Sprintf("%d / %d", sum.flushes, sum.deltas))
+	t.AddRow("events consumed / full audits", fmt.Sprintf("%d / %d", sum.events, sum.fullAudits))
+	t.AddRow("checks evaluated / executed", fmt.Sprintf("%d / %d", sum.evaluated, sum.executed))
+	if sum.events > 0 {
+		t.AddRow("checks per event", fmt.Sprintf("%.2f", float64(sum.evaluated)/float64(sum.events)))
 	}
-	t.AddRow("alarms / repairs", fmt.Sprintf("%d / %d", st.Alarms, st.Repairs))
-	// The localization gauges are a property of the watched catalogues,
-	// not of the session's churn, so the priming baseline is not
-	// subtracted from them.
+	t.AddRow("alarms / repairs", fmt.Sprintf("%d / %d", sum.alarms, sum.repairs))
 	t.AddRow("read localization", fmt.Sprintf("%s (%d indexed / %d unindexed checks)",
-		report.Percent(st.ReadLocalization()), st.IndexedChecks, st.UnindexedChecks))
+		report.Percent(loc.ReadLocalization()), loc.IndexedChecks, loc.UnindexedChecks))
 	t.AddRow("fallback sweeps", sweeps)
 	t.AddRow("fallback audits executed / cached", fmt.Sprintf("%d / %d", reaudits, replays))
 	t.AddRow("final compliance", fmt.Sprintf("%.4f (%d pass / %d fail / %d incomplete)",

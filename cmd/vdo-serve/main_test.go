@@ -5,6 +5,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +45,42 @@ func TestServeRunsForDuration(t *testing.T) {
 	if !strings.Contains(out, "fallback audits executed / cached  0 /") {
 		t.Errorf("fallback sweeps re-audited hosts:\n%s", out)
 	}
+
+	// Every synthesized catalogue declares its reads, 8 checks per
+	// watched host.
+	hosts := submatchInts(t, `vdo-serve session: (\d+) hosts`, out)[0]
+	if loc := submatchInts(t, `read localization +100% \((\d+) indexed / (\d+) unindexed checks\)`, out); loc[0] != 8*hosts || loc[1] != 0 {
+		t.Errorf("read localization = %d indexed / %d unindexed over %d hosts, want %d / 0", loc[0], loc[1], hosts, 8*hosts)
+	}
+
+	// The alarm count covers the baseline's open episodes (every
+	// non-PASS verdict at priming) plus each streamed ALARM line; the
+	// repair count sums the REPAIR lines.
+	base := submatchInts(t, `baseline: compliance \S+ \(\d+ pass / (\d+) fail / (\d+) incomplete\)`, out)
+	wantAlarms := base[0] + base[1] + strings.Count(out, "\nALARM ")
+	wantRepairs := 0
+	for _, m := range regexp.MustCompile(`REPAIR t=.* (\d+) episode\(s\) closed`).FindAllStringSubmatch(out, -1) {
+		n, _ := strconv.Atoi(m[1])
+		wantRepairs += n
+	}
+	if got := submatchInts(t, `alarms / repairs +(\d+) / (\d+)`, out); got[0] != wantAlarms || got[1] != wantRepairs {
+		t.Errorf("alarms / repairs = %d / %d, want %d / %d", got[0], got[1], wantAlarms, wantRepairs)
+	}
+}
+
+// submatchInts returns the submatches of the pattern in s as ints,
+// failing the test when it does not match.
+func submatchInts(t *testing.T, pattern, s string) []int {
+	t.Helper()
+	m := regexp.MustCompile(pattern).FindStringSubmatch(s)
+	if m == nil {
+		t.Fatalf("output does not match %q:\n%s", pattern, s)
+	}
+	out := make([]int, len(m)-1)
+	for i, sub := range m[1:] {
+		out[i], _ = strconv.Atoi(sub)
+	}
+	return out
 }
 
 func TestServeStopsOnContextCancel(t *testing.T) {

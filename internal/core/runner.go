@@ -11,9 +11,10 @@ import (
 )
 
 // This file is the single execution path of the catalogue: Run, the
-// fleet coordinator, the monitor scheduler and the CLIs all funnel through
-// RunEngine, which builds on internal/engine for panic isolation, retry
-// with backoff, per-attempt timeouts and run telemetry.
+// fleet coordinator and the CLIs all funnel through RunEngine, which
+// builds on internal/engine for panic isolation, retry with backoff,
+// per-attempt timeouts and run telemetry. The monitor scheduler polls
+// single requirements and calls engine.Attempt directly.
 
 // RunOptions configures an engine-backed catalogue run.
 type RunOptions struct {
@@ -62,15 +63,10 @@ type ReqStats struct {
 	FindingID string
 	// Status is the requirement's final check status.
 	Status CheckStatus
-	// Attempts counts check executions (initial check plus the re-check
-	// after enforcement, plus any retries of either).
-	Attempts int
-	// Retries is how many of those attempts were retries.
-	Retries int
-	// Panics counts recovered panics (check and enforce).
-	Panics int
-	// Timeouts counts attempts abandoned at the policy deadline.
-	Timeouts int
+	// Tally sums the engine counters of every attempt made for this
+	// requirement: the initial check, the enforcement and the re-check
+	// after it, retries of the checks included.
+	engine.Tally
 	// Enforced reports whether remediation was attempted.
 	Enforced bool
 	// DedupHit marks a verdict replayed from the shared check memo; its
@@ -88,11 +84,8 @@ type RunStats struct {
 	// durations (Busy/Wall measures effective parallelism).
 	Wall time.Duration
 	Busy time.Duration
-	// Attempts / Retries / Panics / Timeouts are summed over requirements.
-	Attempts int
-	Retries  int
-	Panics   int
-	Timeouts int
+	// Tally is summed over requirements.
+	engine.Tally
 	// Errors counts requirements whose final status is ERROR.
 	Errors int
 	// DedupHits counts requirements whose verdict was replayed from the
@@ -215,10 +208,7 @@ func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol e
 			func(s CheckStatus) bool { return s == CheckIncomplete },
 			func(error) CheckStatus { return CheckError },
 			pol)
-		st.Attempts += cst.Attempts
-		st.Retries += cst.Retries
-		st.Panics += cst.Panics
-		st.Timeouts += cst.Timeouts
+		st.Add(cst.Tally)
 		return v
 	}
 	res := Result{FindingID: req.FindingID(), Severity: req.Severity()}
@@ -232,9 +222,7 @@ func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol e
 			func(error) EnforcementStatus { return EnforceFailure },
 			engine.Policy{AttemptTimeout: pol.AttemptTimeout, Sleep: pol.Sleep, Span: esp})
 		esp.Tag("result", enf.String()).End()
-		st.Attempts += est.Attempts
-		st.Panics += est.Panics
-		st.Timeouts += est.Timeouts
+		st.Add(est.Tally)
 		res.Enforcement = enf
 		res.After = check()
 	}
@@ -285,10 +273,7 @@ func (c *Catalog) RunEngine(opts RunOptions) (Report, RunStats) {
 	for i, o := range outs {
 		rep.Results[i] = o.res
 		stats.PerRequirement[i] = o.st
-		stats.Attempts += o.st.Attempts
-		stats.Retries += o.st.Retries
-		stats.Panics += o.st.Panics
-		stats.Timeouts += o.st.Timeouts
+		stats.Add(o.st.Tally)
 		if o.res.After == CheckError {
 			stats.Errors++
 		}

@@ -88,9 +88,12 @@ func (p Policy) normalized() Policy {
 	return p
 }
 
-// Stats is the telemetry of one Attempt call.
-type Stats struct {
-	// Attempts is how many times the operation ran (>= 1).
+// Tally is the attempt loop's counter set. One Attempt call fills it,
+// and every roll-up above the engine (per requirement, per catalogue
+// run, per shard, per fleet sweep, per monitor session) sums it with
+// Add, so the four counters are declared and summed in one place.
+type Tally struct {
+	// Attempts is how many times operations ran.
 	Attempts int
 	// Retries is Attempts beyond the first that were actually taken.
 	Retries int
@@ -98,6 +101,20 @@ type Stats struct {
 	Panics int
 	// Timeouts counts attempts abandoned at AttemptTimeout.
 	Timeouts int
+}
+
+// Add sums o into t.
+func (t *Tally) Add(o Tally) {
+	t.Attempts += o.Attempts
+	t.Retries += o.Retries
+	t.Panics += o.Panics
+	t.Timeouts += o.Timeouts
+}
+
+// Stats is the telemetry of one Attempt call; its Tally counts at least
+// one attempt.
+type Stats struct {
+	Tally
 	// Duration is total wall time spent, backoffs included.
 	Duration time.Duration
 	// Err is the failure of the last attempt when no attempt produced a

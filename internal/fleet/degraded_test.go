@@ -33,7 +33,7 @@ func TestDegradedHostCountedOnCacheReplay(t *testing.T) {
 		t.Errorf("cached re-sweep DegradedHosts = %d, want 1", st2.DegradedHosts)
 	}
 	var degradedRows int
-	for _, h := range st2.PerHost {
+	for _, h := range rep.Hosts {
 		if h.Degraded {
 			degradedRows++
 			if !h.FromCache {

@@ -24,20 +24,51 @@ func faultedFleet(n int, seed int64) ([]Target, []*host.Linux) {
 	return targets, hosts
 }
 
+// hostRow is the deterministic part of one host's sweep result: what
+// the per-host telemetry table shows, minus wall clock and placement.
+type hostRow struct {
+	Target       string
+	Requirements int
+	Errors       int
+	FromCache    bool
+	Degraded     bool
+}
+
+// canonicalSweep is a sweep's outcome with every timing- and
+// placement-dependent field dropped.
+type canonicalSweep struct {
+	Stats FleetStats
+	Hosts []hostRow
+}
+
+func canonical(rep FleetReport, st FleetStats) canonicalSweep {
+	c := canonicalSweep{Stats: st.Canonical()}
+	for _, hr := range rep.Hosts {
+		c.Hosts = append(c.Hosts, hostRow{
+			Target:       hr.Target,
+			Requirements: len(hr.Report.Results),
+			Errors:       hr.Stats.Errors,
+			FromCache:    hr.FromCache,
+			Degraded:     hr.Degraded,
+		})
+	}
+	return c
+}
+
 // TestFleetDeterminism: the same seed and fault plan must produce the
-// identical FleetStats modulo timing fields, across repeated sweeps and
-// across shard counts' worth of goroutine interleavings. Run under -race
-// by `make check`.
+// identical FleetStats and per-host rows modulo timing fields, across
+// repeated sweeps and across shard counts' worth of goroutine
+// interleavings. Run under -race by `make check`.
 func TestFleetDeterminism(t *testing.T) {
 	pol := engine.Policy{MaxAttempts: 4, Sleep: func(time.Duration) {}}
-	run := func() (FleetStats, FleetStats) {
+	run := func() (canonicalSweep, canonicalSweep) {
 		targets, hosts := faultedFleet(8, 42)
 		hosts[5].SetUnreachable(true)
 		coord := NewCoordinator()
-		_, full := coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol})
+		full := canonical(coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol}))
 		host.DriftLinux(hosts[2], 3, newRng(7))
-		_, incr := coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol, Incremental: true})
-		return full.Canonical(), incr.Canonical()
+		incr := canonical(coord.Sweep(targets, Options{Shards: 4, Workers: 4, Checks: pol, Incremental: true}))
+		return full, incr
 	}
 
 	full1, incr1 := run()
@@ -48,8 +79,13 @@ func TestFleetDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(incr1, incr2) {
 		t.Errorf("incremental sweeps diverge:\n%+v\n%+v", incr1, incr2)
 	}
-	if full1.Wall != 0 || incr1.Wall != 0 {
+	if full1.Stats.Wall != 0 || incr1.Stats.Wall != 0 {
 		t.Error("Canonical must zero timing fields")
+	}
+	// The rows carry real content: the unreachable host's errors, and
+	// the drifted host as the only re-audit of the incremental sweep.
+	if len(incr1.Hosts) != 8 || full1.Hosts[5].Errors == 0 || incr1.Hosts[2].FromCache || !incr1.Hosts[0].FromCache {
+		t.Errorf("per-host rows = %+v / %+v, want host-05 erroring and host-02 alone re-audited", full1.Hosts, incr1.Hosts)
 	}
 }
 

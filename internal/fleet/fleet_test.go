@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"veridevops/internal/core"
+	"veridevops/internal/engine"
 	"veridevops/internal/host"
 )
 
@@ -232,9 +235,65 @@ func TestFleetReportFailingAndTables(t *testing.T) {
 	if len(failing) != 1 || !strings.HasPrefix(failing[0], "host-01/") {
 		t.Errorf("Failing = %v", failing)
 	}
-	for _, s := range []string{st.Summary(), st.ShardTable("shards").String(), st.HostTable("hosts").String()} {
+	for _, s := range []string{st.Summary(), st.ShardTable("shards").String(), st.HostTable("hosts", rep).String()} {
 		if !strings.Contains(s, "host") && !strings.Contains(s, "shard") {
 			t.Errorf("rendering looks empty: %q", s)
 		}
+	}
+}
+
+// TestAggregateSumsTallies: each executed host's attempt tally sums into
+// the fleet roll-up and into its shard's row; a cache replay adds none.
+func TestAggregateSumsTallies(t *testing.T) {
+	tally := func(n int) engine.Tally {
+		return engine.Tally{Attempts: 4 * n, Retries: 3 * n, Panics: 2 * n, Timeouts: n}
+	}
+	results := []HostResult{
+		{Target: "a", Shard: 0, Stats: core.RunStats{Tally: tally(1), Errors: 1}},
+		{Target: "b", Shard: 1, Stats: core.RunStats{Tally: tally(2)}},
+		{Target: "c", Shard: 1, Stats: core.RunStats{Tally: tally(3), Errors: 2}},
+		{Target: "d", Shard: 0, FromCache: true},
+	}
+	st := aggregate(results, []time.Duration{0, 0}, engine.PoolStats{},
+		Options{Shards: 2, Workers: 1}.normalized(len(results)))
+	if st.Tally != tally(6) || st.Errors != 3 {
+		t.Errorf("fleet tally = %+v, %d errors; want %+v, 3 errors", st.Tally, st.Errors, tally(6))
+	}
+	if st.PerShard[0].Tally != tally(1) || st.PerShard[1].Tally != tally(5) {
+		t.Errorf("shard tallies = %+v / %+v, want %+v / %+v",
+			st.PerShard[0].Tally, st.PerShard[1].Tally, tally(1), tally(5))
+	}
+}
+
+// TestHostTableRendersReportHosts: the per-host table reads the sweep's
+// FleetReport.Hosts. A cache replay shows no errors of its own but stays
+// degraded when its cached verdicts are.
+func TestHostTableRendersReportHosts(t *testing.T) {
+	targets, hosts := LinuxFleet(4)
+	hosts[1].SetUnreachable(true)
+	coord := NewCoordinator()
+	coord.Sweep(targets, Options{Shards: 2, Workers: 1})
+	hosts[2].SetUnreachable(true)
+	hosts[3].Install("nis", "0.legacy")
+	rep, st := coord.Sweep(targets, Options{Shards: 2, Workers: 1, Incremental: true})
+
+	tbl := st.HostTable("hosts", rep)
+	if tbl.Note != st.Summary() {
+		t.Errorf("note = %q, want the sweep summary", tbl.Note)
+	}
+	// host, requirements, errors, cached, degraded; shard, stolen and
+	// wall depend on placement and timing.
+	var got [][]string
+	for _, row := range tbl.Rows {
+		got = append(got, []string{row[0], row[2], row[3], row[4], row[6]})
+	}
+	want := [][]string{
+		{"host-00", "8", "0", "true", "false"},
+		{"host-01", "8", "0", "true", "true"},
+		{"host-02", "8", "8", "false", "true"},
+		{"host-03", "8", "0", "false", "false"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("host rows = %v, want %v", got, want)
 	}
 }

@@ -47,24 +47,3 @@ func TestSweepReadLocalizationCounts(t *testing.T) {
 		t.Fatalf("Canonical dropped localization counters: %+v", c)
 	}
 }
-
-func TestStreamerStatsReadLocalizationGauges(t *testing.T) {
-	h := host.NewUbuntu1804()
-	s := NewStreamer(NewCoordinator(), StreamOptions{Shards: 1, Workers: 1})
-	s.Watch(Target{Name: "h0", Catalog: mixedCatalog(h), Version: h.Log().Version}, h.Log())
-	st := s.Stats()
-	if st.IndexedChecks != 8 || st.UnindexedChecks != 1 {
-		t.Fatalf("indexed/unindexed = %d/%d, want 8/1", st.IndexedChecks, st.UnindexedChecks)
-	}
-	if got, want := st.ReadLocalization(), float64(8)/9; got != want {
-		t.Fatalf("ReadLocalization = %v, want %v", got, want)
-	}
-	// Gauge semantics: unwatching removes the host's checks from the view.
-	s.Unwatch("h0")
-	if st := s.Stats(); st.IndexedChecks != 0 || st.UnindexedChecks != 0 {
-		t.Fatalf("after Unwatch indexed/unindexed = %d/%d, want 0/0", st.IndexedChecks, st.UnindexedChecks)
-	}
-	if (StreamStats{}).ReadLocalization() != 0 {
-		t.Fatal("empty ReadLocalization should be 0")
-	}
-}

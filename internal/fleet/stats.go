@@ -21,32 +21,15 @@ type ShardStats struct {
 	// per-requirement durations of its executed hosts.
 	Wall time.Duration
 	Busy time.Duration
-	// Attempts / Retries / Panics / Timeouts / Errors sum the executed
-	// hosts' run telemetry.
-	Attempts int
-	Retries  int
-	Panics   int
-	Timeouts int
-	Errors   int
+	// Tally and Errors sum the executed hosts' run telemetry.
+	engine.Tally
+	Errors int
 	// Steals counts hosts this shard executed from another shard's queue;
 	// QueueWait sums, over the hosts this shard dispatched, the time each
 	// spent enqueued before dispatch. Both are placement telemetry and
 	// depend on runtime timing under work stealing.
 	Steals    int
 	QueueWait time.Duration
-}
-
-// HostStats is the compact per-host row of a FleetStats.
-type HostStats struct {
-	Target       string
-	Shard        int
-	Requirements int
-	Errors       int
-	FromCache    bool
-	// Stolen marks a host executed away from its affinity home.
-	Stolen   bool
-	Degraded bool
-	Wall     time.Duration
 }
 
 // FleetStats merges the per-shard RunStats of one sweep into a fleet-wide
@@ -63,13 +46,9 @@ type FleetStats struct {
 	// (Busy / (Shards*Workers*Wall) measures pool utilisation).
 	Wall time.Duration
 	Busy time.Duration
-	// Attempts / Retries / Panics / Timeouts / Errors sum over executed
-	// hosts.
-	Attempts int
-	Retries  int
-	Panics   int
-	Timeouts int
-	Errors   int
+	// Tally and Errors sum over executed hosts.
+	engine.Tally
+	Errors int
 	// CachedHosts counts targets replayed from the incremental cache;
 	// DegradedHosts targets whose every verdict was ERROR.
 	CachedHosts   int
@@ -107,10 +86,9 @@ type FleetStats struct {
 	// when measurable and 0 when not: 1.0 means perfectly balanced
 	// shards, the value work stealing pushes towards.
 	LoadImbalance float64
-	// PerShard and PerHost hold the detail rows, ordered by shard index
-	// and target name respectively.
+	// PerShard holds the per-shard rows, ordered by shard index. The
+	// per-host rows are the sweep's FleetReport.Hosts.
 	PerShard []ShardStats
-	PerHost  []HostStats
 }
 
 // CacheHitRate is CacheHits / (CacheHits + CacheMisses) in [0,1]; 0 when
@@ -182,12 +160,13 @@ func (s FleetStats) ShardTable(title string) *report.Table {
 	return t
 }
 
-// HostTable renders the per-host telemetry.
-func (s FleetStats) HostTable(title string) *report.Table {
+// HostTable renders the per-host telemetry of the sweep that produced
+// rep and s.
+func (s FleetStats) HostTable(title string, rep FleetReport) *report.Table {
 	t := report.New(title, "host", "shard", "requirements", "errors", "cached", "stolen", "degraded", "wall-ms")
-	for _, h := range s.PerHost {
-		t.AddRow(h.Target, h.Shard, h.Requirements, h.Errors, h.FromCache,
-			h.Stolen, h.Degraded, report.Millis(h.Wall))
+	for _, h := range rep.Hosts {
+		t.AddRow(h.Target, h.Shard, len(h.Report.Results), h.Stats.Errors, h.FromCache,
+			h.Stolen, h.Degraded, report.Millis(h.Stats.Wall))
 	}
 	t.Note = s.Summary()
 	return t
@@ -198,22 +177,13 @@ func (s FleetStats) HostTable(title string) *report.Table {
 // cache accounting, dedup totals and attempt/panic telemetry are
 // deterministic functions of the fleet, the seed and the fault plan;
 // which shard a host lands on under work stealing is not, so Canonical
-// drops the per-shard rows and neutralises per-host placement the same
-// way it neutralises wall clocks.
+// drops the per-shard rows the same way it neutralises wall clocks.
 func (s FleetStats) Canonical() FleetStats {
 	s.Wall, s.Busy = 0, 0
 	s.Steals, s.QueueWait = 0, 0
 	s.ActiveShards = 0
 	s.LoadImbalance = 0
 	s.PerShard = nil
-	hosts := make([]HostStats, len(s.PerHost))
-	copy(hosts, s.PerHost)
-	for i := range hosts {
-		hosts[i].Wall = 0
-		hosts[i].Shard = 0
-		hosts[i].Stolen = false
-	}
-	s.PerHost = hosts
 	return s
 }
 
@@ -241,7 +211,6 @@ func aggregate(results []HostResult, shardWalls []time.Duration, ps engine.PoolS
 		Workers:  opts.Workers,
 		Wall:     ps.Wall,
 		PerShard: make([]ShardStats, opts.Shards),
-		PerHost:  make([]HostStats, 0, len(results)),
 	}
 	for i := range st.PerShard {
 		st.PerShard[i].Shard = i
@@ -255,16 +224,6 @@ func aggregate(results []HostResult, shardWalls []time.Duration, ps engine.PoolS
 		st.Requirements += reqs
 		sh.Hosts++
 		sh.Requirements += reqs
-		st.PerHost = append(st.PerHost, HostStats{
-			Target:       hr.Target,
-			Shard:        hr.Shard,
-			Requirements: reqs,
-			Errors:       hr.Stats.Errors,
-			FromCache:    hr.FromCache,
-			Stolen:       hr.Stolen,
-			Degraded:     hr.Degraded,
-			Wall:         hr.Stats.Wall,
-		})
 		// Degraded is counted before the cache branch: a replayed host
 		// whose cached report was degraded is still a degraded host, and
 		// skipping it here made Summary() contradict the HostTable rows.
@@ -282,14 +241,8 @@ func aggregate(results []HostResult, shardWalls []time.Duration, ps engine.PoolS
 		}
 		st.Busy += hr.Stats.Busy
 		sh.Busy += hr.Stats.Busy
-		st.Attempts += hr.Stats.Attempts
-		sh.Attempts += hr.Stats.Attempts
-		st.Retries += hr.Stats.Retries
-		sh.Retries += hr.Stats.Retries
-		st.Panics += hr.Stats.Panics
-		sh.Panics += hr.Stats.Panics
-		st.Timeouts += hr.Stats.Timeouts
-		sh.Timeouts += hr.Stats.Timeouts
+		st.Add(hr.Stats.Tally)
+		sh.Add(hr.Stats.Tally)
 		st.Errors += hr.Stats.Errors
 		sh.Errors += hr.Stats.Errors
 		st.DedupHits += hr.Stats.DedupHits

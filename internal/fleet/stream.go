@@ -36,7 +36,6 @@ type Streamer struct {
 	mu    sync.Mutex
 	hosts map[string]*streamHost
 	dirty map[string]bool
-	stats StreamStats
 	view  View
 }
 
@@ -100,46 +99,6 @@ type streamHost struct {
 	primed bool
 }
 
-// StreamStats is the streamer's cumulative telemetry.
-type StreamStats struct {
-	// Flushes counts Flush calls that found at least one dirty host.
-	Flushes int
-	// Events is the total number of tailed events consumed.
-	Events int
-	// DeltaHosts counts per-flush dirty-host evaluations (a host dirty
-	// in N flushes counts N times).
-	DeltaHosts int
-	// FullAudits counts evaluations that ran the whole catalogue
-	// (priming, unkeyed events, connectivity flips).
-	FullAudits int
-	// ChecksEvaluated sums the checks each delta asked the engine to
-	// resolve; ChecksExecuted subtracts dedup replays. ChecksEvaluated /
-	// Events is the O(changed keys) efficiency headline: it must sit far
-	// below the catalogue size when deltas dominate.
-	ChecksEvaluated int
-	ChecksExecuted  int
-	// Alarms and Repairs count violation episodes opened and closed.
-	Alarms  int
-	Repairs int
-	// IndexedChecks / UnindexedChecks are gauges, not counters: how many
-	// catalogue entries across the currently watched hosts the dependency
-	// index can localize (core.KeyReader declared) versus must fan out to
-	// conservatively on every event. Snapshotted by Stats() from the
-	// watched hosts' read plans.
-	IndexedChecks   int
-	UnindexedChecks int
-}
-
-// ReadLocalization is IndexedChecks / (IndexedChecks + UnindexedChecks)
-// in [0,1]; 0 when nothing is watched. See FleetStats.ReadLocalization.
-func (s StreamStats) ReadLocalization() float64 {
-	total := s.IndexedChecks + s.UnindexedChecks
-	if total == 0 {
-		return 0
-	}
-	return float64(s.IndexedChecks) / float64(total)
-}
-
 // Alarm is one violation-episode opening observed by a flush: a finding
 // on a host moved from PASS (or unknown) to the recorded non-PASS
 // status.
@@ -158,7 +117,9 @@ type DeltaResult struct {
 	Full bool
 	// Events is how many tailed events this delta coalesced.
 	Events int
-	// Checks is how many catalogue entries were evaluated.
+	// Checks is how many catalogue entries were evaluated: the run's
+	// RunStats.Requirements, so 0 for a delta that touched no check and
+	// only re-stamped the cache.
 	Checks int
 	// Result is the underlying audit outcome; its Report is always the
 	// full merged per-host report regardless of Full.
@@ -170,8 +131,11 @@ type FlushResult struct {
 	// At is the caller's timestamp for the flush (virtual or real).
 	At    time.Duration
 	Hosts []DeltaResult
-	// Events / ChecksEvaluated / ChecksExecuted are this flush's slice
-	// of the cumulative StreamStats counters.
+	// Events is the number of tailed events consumed. ChecksEvaluated
+	// sums the checks each delta asked the engine to resolve;
+	// ChecksExecuted subtracts dedup replays. ChecksEvaluated / Events is
+	// the O(changed keys) efficiency headline: it must sit far below the
+	// catalogue size when deltas dominate.
 	Events          int
 	ChecksEvaluated int
 	ChecksExecuted  int
@@ -273,19 +237,6 @@ func (s *Streamer) Compliance() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.view.Compliance()
-}
-
-// Stats returns the cumulative streamer telemetry, with the
-// read-localization gauges snapshotted from the currently watched hosts.
-func (s *Streamer) Stats() StreamStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	for _, sh := range s.hosts {
-		st.IndexedChecks += len(sh.index.Indexed())
-		st.UnindexedChecks += len(sh.index.Unindexed())
-	}
-	return st
 }
 
 // deltaPlan is one dirty host's work for a flush, computed under no
@@ -418,10 +369,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 		sh.cursor = p.next
 		sh.primed = true
 
-		checks := len(p.only)
-		if p.full {
-			checks = len(hr.Report.Results)
-		}
+		checks := hr.Stats.Requirements
 		executed := 0
 		if !hr.FromCache {
 			executed = hr.Stats.Requirements - hr.Stats.DedupHits
@@ -439,19 +387,6 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 		fr.Repairs += repairs
 	}
 	fr.Wall = time.Since(t0)
-
-	s.stats.Flushes++
-	s.stats.Events += fr.Events
-	s.stats.DeltaHosts += len(fr.Hosts)
-	for _, d := range fr.Hosts {
-		if d.Full {
-			s.stats.FullAudits++
-		}
-	}
-	s.stats.ChecksEvaluated += fr.ChecksEvaluated
-	s.stats.ChecksExecuted += fr.ChecksExecuted
-	s.stats.Alarms += len(fr.Alarms)
-	s.stats.Repairs += fr.Repairs
 	compliance := s.view.Compliance()
 	s.mu.Unlock()
 

@@ -74,22 +74,24 @@ func TestStreamerPrimesThenDeltas(t *testing.T) {
 
 	// Re-violating without repair does not re-alarm (episode dedup)...
 	hosts[1].Remove("aide")
-	if fr := s.Flush(3 * time.Second); len(fr.Alarms) != 0 {
+	fr = s.Flush(3 * time.Second)
+	if len(fr.Hosts) != 1 || fr.Hosts[0].Full {
+		t.Errorf("re-violation flush = %+v, want one subset delta", fr.Hosts)
+	}
+	if len(fr.Alarms) != 0 {
 		t.Errorf("duplicate violation re-alarmed: %+v", fr.Alarms)
 	}
 	// ...and repairing closes the episode.
 	hosts[1].Install("aide", "1")
 	fr = s.Flush(4 * time.Second)
+	if len(fr.Hosts) != 1 || fr.Hosts[0].Full {
+		t.Errorf("repair flush = %+v, want one subset delta", fr.Hosts)
+	}
 	if fr.Repairs != 1 || len(fr.Alarms) != 0 {
 		t.Errorf("repair flush = %d repairs %d alarms, want 1/0", fr.Repairs, len(fr.Alarms))
 	}
 	if c := s.Compliance(); c != 1 {
 		t.Errorf("post-repair compliance = %v, want 1", c)
-	}
-
-	st := s.Stats()
-	if st.Flushes != 4 || st.FullAudits != 3 {
-		t.Errorf("stats = %+v, want 4 flushes, 3 full audits", st)
 	}
 }
 
@@ -148,6 +150,33 @@ func TestStreamerZeroCheckDeltaRestampsCache(t *testing.T) {
 	_, st := coord.Sweep(targets, Options{Incremental: true})
 	if st.CachedHosts != 1 {
 		t.Errorf("fallback sweep re-audited after re-stamp (CachedHosts = %d)", st.CachedHosts)
+	}
+}
+
+// TestStreamerChecksCountWithoutCacheEntry: a keyed delta on a primed
+// host whose cache entry is gone (here through Coordinator.Invalidate)
+// runs the whole catalogue, and the flush must count every check it
+// evaluated, not just the affected subset it asked for.
+func TestStreamerChecksCountWithoutCacheEntry(t *testing.T) {
+	targets, hosts := LinuxFleet(1)
+	coord := NewCoordinator()
+	s := NewStreamer(coord, StreamOptions{})
+	s.Watch(targets[0], hosts[0].Log())
+	s.Flush(0)
+
+	coord.Invalidate(targets[0].Name)
+	hosts[0].Remove("aide")
+	fr := s.Flush(time.Second)
+	if len(fr.Hosts) != 1 || fr.Hosts[0].Full {
+		t.Fatalf("flush hosts = %+v, want one keyed delta", fr.Hosts)
+	}
+	const catalogue = 8
+	if d := fr.Hosts[0]; d.Checks != catalogue || len(d.Result.Report.Results) != catalogue {
+		t.Errorf("delta checks = %d over a %d-result report, want %d", d.Checks, len(d.Result.Report.Results), catalogue)
+	}
+	if fr.ChecksEvaluated != catalogue || fr.ChecksExecuted != catalogue {
+		t.Errorf("ChecksEvaluated/ChecksExecuted = %d/%d, want %d/%d",
+			fr.ChecksEvaluated, fr.ChecksExecuted, catalogue, catalogue)
 	}
 }
 

@@ -107,8 +107,8 @@ func TestSchedulerSurvivesPanickingCheck(t *testing.T) {
 	if byReq["V-219157"] != 1 {
 		t.Errorf("healthy entry alarms = %d, want 1", byReq["V-219157"])
 	}
-	if s.CheckPanics == 0 {
-		t.Error("CheckPanics must count the recovered panics")
+	if s.Engine.Panics == 0 {
+		t.Error("Engine.Panics must count the recovered panics")
 	}
 }
 
@@ -130,8 +130,8 @@ func TestSchedulerRetriesFlakyCheck(t *testing.T) {
 	if len(s.Alarms()) != 0 {
 		t.Errorf("alarms = %d, want 0 (retry hides the transient failure)", len(s.Alarms()))
 	}
-	if s.CheckRetries == 0 {
-		t.Error("CheckRetries must count the retries")
+	if s.Engine.Retries == 0 {
+		t.Error("Engine.Retries must count the retries")
 	}
 }
 
@@ -164,7 +164,9 @@ func TestSchedulerSurvivesPanickingEnforce(t *testing.T) {
 	if a := s.Alarms()[0]; !a.Enforced || a.Enforcement != core.EnforceFailure {
 		t.Errorf("alarm = %+v, want enforcement FAILURE", a)
 	}
-	if s.EnforcePanics == 0 {
-		t.Error("EnforcePanics must count the recovered panic")
+	// Six polls, one alarm: six checks, one enforcement and the re-check
+	// after it, all summed into one tally.
+	if want := (engine.Tally{Attempts: 8, Panics: 1}); s.Engine != want {
+		t.Errorf("Engine = %+v, want %+v (the enforce panic and attempt counted)", s.Engine, want)
 	}
 }

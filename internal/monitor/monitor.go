@@ -45,12 +45,6 @@ type entry struct {
 	e    core.Enforceable // nil when not auto-remediable
 	// inViolation dedupes alarms: one alarm per violation episode.
 	inViolation bool
-	// budget is the entry's current attempt budget under RetryBudget; 0
-	// means "not yet initialised from the base policy".
-	budget int
-	// panicStreak counts consecutive polls whose check panicked at least
-	// once, the signal RetryBudget shrinks the budget on.
-	panicStreak int
 }
 
 // TimedAction is an environment mutation scheduled at a virtual instant,
@@ -71,32 +65,6 @@ type AdaptivePolicy struct {
 	CleanStreak int
 }
 
-// RetryBudgetPolicy feeds the engine telemetry back into per-entry retry
-// budgets, the retry analogue of AdaptivePolicy's period tuning: an entry
-// whose checks keep panicking has its attempt budget halved after every
-// PanicStreak consecutive panicking polls (floored at MinAttempts), so a
-// chronically broken check stops burning retries the whole fleet pays
-// for. A clean poll (no panics) snaps the budget back to the base policy,
-// mirroring how AdaptivePolicy snaps the period back on a violation.
-type RetryBudgetPolicy struct {
-	// MinAttempts floors the shrinking budget (default 1).
-	MinAttempts int
-	// PanicStreak is how many consecutive panicking polls halve the budget
-	// (default 3).
-	PanicStreak int
-}
-
-func (p *RetryBudgetPolicy) normalized() (minAttempts, streak int) {
-	minAttempts, streak = p.MinAttempts, p.PanicStreak
-	if minAttempts < 1 {
-		minAttempts = 1
-	}
-	if streak < 1 {
-		streak = 3
-	}
-	return
-}
-
 // Scheduler polls registered requirements at a fixed period.
 type Scheduler struct {
 	// Clock supplies time; nil defaults to a simulated clock.
@@ -107,10 +75,6 @@ type Scheduler struct {
 	AutoEnforce bool
 	// Adaptive, when non-nil, enables backoff polling.
 	Adaptive *AdaptivePolicy
-	// RetryBudget, when non-nil, enables adaptive per-entry retry budgets:
-	// chronically panicking checks get their Checks.MaxAttempts shrunk, a
-	// clean poll restores it (see RetryBudgetPolicy).
-	RetryBudget *RetryBudgetPolicy
 	// Checks is the per-check resilience policy: every poll check runs
 	// through the fault-tolerant engine, so a panicking requirement
 	// raises an alarm (fail-closed, status ERROR) instead of killing the
@@ -134,12 +98,9 @@ type Scheduler struct {
 	alarms  []Alarm
 	// Polls counts polling rounds performed by Run.
 	Polls int
-	// CheckAttempts / CheckRetries / CheckPanics / EnforcePanics are the
-	// engine telemetry accumulated over the run.
-	CheckAttempts int
-	CheckRetries  int
-	CheckPanics   int
-	EnforcePanics int
+	// Engine sums the engine telemetry of every check and enforcement
+	// attempt over the run, as core.ReqStats does per requirement.
+	Engine engine.Tally
 }
 
 // NewScheduler returns a scheduler with the given polling period over a
@@ -269,73 +230,20 @@ func (s *Scheduler) poll(now trace.Time, parent *telemetry.Span) bool {
 	return violated
 }
 
-// check runs one entry's Check on the engine under s.Checks, with the
-// entry's adaptive attempt budget applied when RetryBudget is enabled.
+// check runs one entry's Check on the engine under s.Checks.
 func (s *Scheduler) check(en *entry, parent *telemetry.Span) core.CheckStatus {
 	sp := parent.Child("check").Tag("requirement", en.name)
 	pol := s.Checks
 	pol.Span = sp
-	if s.RetryBudget != nil {
-		if en.budget == 0 {
-			en.budget = s.baseAttempts()
-		}
-		pol.MaxAttempts = en.budget
-	}
 	status, st := engine.Attempt(en.c.Check,
 		func(v core.CheckStatus) bool { return v == core.CheckIncomplete },
 		func(error) core.CheckStatus { return core.CheckError },
 		pol)
-	s.CheckAttempts += st.Attempts
-	s.CheckRetries += st.Retries
-	s.CheckPanics += st.Panics
+	s.Engine.Add(st.Tally)
 	s.Metrics.Add("monitor.checks", 1)
 	s.Metrics.Observe("monitor.check_wall", st.Duration)
-	if s.RetryBudget != nil {
-		s.tuneBudget(en, st)
-	}
 	sp.Tag("status", status.String()).End()
 	return status
-}
-
-// baseAttempts is the configured attempt budget, floored at one.
-func (s *Scheduler) baseAttempts() int {
-	if s.Checks.MaxAttempts < 1 {
-		return 1
-	}
-	return s.Checks.MaxAttempts
-}
-
-// tuneBudget applies the RetryBudget feedback from one poll's telemetry.
-func (s *Scheduler) tuneBudget(en *entry, st engine.Stats) {
-	minAttempts, streak := s.RetryBudget.normalized()
-	if st.Panics == 0 {
-		en.panicStreak = 0
-		en.budget = s.baseAttempts()
-		return
-	}
-	en.panicStreak++
-	if en.panicStreak >= streak && en.budget > minAttempts {
-		en.budget /= 2
-		if en.budget < minAttempts {
-			en.budget = minAttempts
-		}
-		en.panicStreak = 0
-	}
-}
-
-// RetryBudgets reports the current per-entry attempt budgets, keyed by
-// entry name (entries not yet polled map to the base budget). Diagnostic
-// companion to the CheckPanics counters.
-func (s *Scheduler) RetryBudgets() map[string]int {
-	out := make(map[string]int, len(s.entries))
-	for _, en := range s.entries {
-		b := en.budget
-		if b == 0 {
-			b = s.baseAttempts()
-		}
-		out[en.name] = b
-	}
-	return out
 }
 
 // enforce runs one entry's Enforce panic-isolated (never retried: host
@@ -345,7 +253,7 @@ func (s *Scheduler) enforce(en *entry, parent *telemetry.Span) core.EnforcementS
 	status, st := engine.Attempt(en.e.Enforce, nil,
 		func(error) core.EnforcementStatus { return core.EnforceFailure },
 		engine.Policy{Span: sp})
-	s.EnforcePanics += st.Panics
+	s.Engine.Add(st.Tally)
 	s.Metrics.Add("monitor.enforcements", 1)
 	sp.Tag("result", status.String()).End()
 	return status
