@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet lint verify-reads sarif build test race perfbench-test fleet-race trace-race bench bench-engine bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
+.PHONY: check fmt vet lint verify-reads sarif build test race perfbench-test fleet-race trace-race bench bench-engine bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
 
-# check is the CI gate: vet, the repository's own analyzers, build
+# check is the CI gate: gofmt, vet, the repository's own analyzers, build
 # everything, then the full test suite under the race detector (the
 # engine, core and monitor packages are concurrent by construction, so
 # -race is not optional), the dynamic declared-reads oracle, and finally
@@ -10,7 +10,12 @@ GO ?= go
 # plus the tracing-overhead gate, and the perfbench module's own tests.
 # fleet-race is part of race via ./..., listed separately for a focused
 # re-run.
-check: vet lint build race verify-reads perfbench-test smoke-load smoke-serve smoke-trace smoke-scenario
+check: fmt vet lint build race verify-reads perfbench-test smoke-load smoke-serve smoke-trace smoke-scenario
+
+# fmt fails if any Go file in the repository, the perfbench module
+# included, is not gofmt-formatted, and lists the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -255,9 +255,8 @@ func BenchmarkE13FleetAudit(b *testing.B) {
 	}
 }
 
-// BenchmarkCatalogIDs measures repeated sorted-ID listing, the kernel the
-// catalogue's sort cache accelerates (before the cache this re-sorted on
-// every call).
+// BenchmarkCatalogIDs measures repeated sorted-ID listing: a read of the
+// order the catalogue fixed when it was built.
 func BenchmarkCatalogIDs(b *testing.B) {
 	h := host.NewUbuntu1804()
 	cat := stig.UbuntuCatalog(h)
@@ -268,8 +267,8 @@ func BenchmarkCatalogIDs(b *testing.B) {
 }
 
 // BenchmarkCatalogRunEngineSweep measures repeated check-only engine
-// sweeps of an unchanged catalogue — the fleet steady-state hot path that
-// the cached sorted order speeds up (All() no longer re-sorts per sweep).
+// sweeps of an unchanged catalogue — the fleet steady-state hot path; a
+// run reads the catalogue's sorted requirements without copying them.
 func BenchmarkCatalogRunEngineSweep(b *testing.B) {
 	h := host.NewUbuntu1804()
 	cat := stig.UbuntuCatalog(h)

@@ -54,7 +54,7 @@ func fillStore(st *store.Store, n int) time.Duration {
 		st.Offer(telemetry.SpanData{
 			ID: id, Parent: 0, Trace: trace, Name: "host",
 			Start: time.Unix(0, int64(id)*1000), Dur: time.Duration(1000+id%900) * time.Microsecond,
-			Tags:  []string{"host", hosts[(id/perTrace)%uint64(len(hosts))]},
+			Tags: []string{"host", hosts[(id/perTrace)%uint64(len(hosts))]},
 		})
 	}
 	return time.Since(t0)

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 
 	"veridevops/internal/core"
 	"veridevops/internal/engine"
@@ -83,11 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "rqcode: %v\n", err)
 			return 2
 		}
-		for _, r := range extra.All() {
-			if err := cat.Register(r); err != nil {
-				fmt.Fprintf(stderr, "rqcode: %v\n", err)
-				return 2
-			}
+		if cat, err = core.NewCatalog(slices.Concat(cat.All(), extra.All())...); err != nil {
+			fmt.Fprintf(stderr, "rqcode: %v\n", err)
+			return 2
 		}
 	}
 

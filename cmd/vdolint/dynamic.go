@@ -33,19 +33,20 @@ func dynamicBundles() []struct {
 	pl := host.NewUbuntu1804()
 	pw := host.NewWindows10()
 	pl.Install("openssl", "1.0.0") // vulnerable: the patch check reads both pkg slots
-	pats := core.NewCatalog()
-	pats.MustRegister(&stig.UbuntuServicePattern{
-		Finding: core.Finding{ID: "DYN-SVC-1", Sev: "medium", Desc: "auditd must be active"},
-		Host:    pl, ServiceName: "auditd", MustBeActive: true,
-	})
-	pats.MustRegister(&stig.RegistryRequirement{
-		Finding: core.Finding{ID: "DYN-REG-1", Sev: "medium", Desc: "policy value must be set"},
-		Host:    pw, Key: `HKLM\Software\Policies\System\EnableLUA`, Want: "1",
-	})
-	pats.MustRegister(vulndb.NewPatchRequirement(pl, vulndb.Advisory{
-		ID: "CVE-2026-9999", Package: "openssl", FixedIn: "1.0.2",
-		Vector: "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", Summary: "synthetic oracle advisory",
-	}))
+	pats := core.MustCatalog(
+		&stig.UbuntuServicePattern{
+			Finding: core.Finding{ID: "DYN-SVC-1", Sev: "medium", Desc: "auditd must be active"},
+			Host:    pl, ServiceName: "auditd", MustBeActive: true,
+		},
+		&stig.RegistryRequirement{
+			Finding: core.Finding{ID: "DYN-REG-1", Sev: "medium", Desc: "policy value must be set"},
+			Host:    pw, Key: `HKLM\Software\Policies\System\EnableLUA`, Want: "1",
+		},
+		vulndb.NewPatchRequirement(pl, vulndb.Advisory{
+			ID: "CVE-2026-9999", Package: "openssl", FixedIn: "1.0.2",
+			Vector: "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", Summary: "synthetic oracle advisory",
+		}),
+	)
 	return []struct {
 		name  string
 		cat   *core.Catalog

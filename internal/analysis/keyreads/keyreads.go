@@ -1,11 +1,11 @@
 // Package keyreads verifies the declared-reads contract behind
 // push-mode evaluation: every core.KeyReader's CheckStateKeys() must
 // cover each host-state slot its Check/CheckCtx body actually reads.
-// Since PR 7 the fleet's reverse dependency index (fleet.BuildDepIndex)
-// re-evaluates a check only when an event touches one of its declared
-// keys — an under-declared read means push-mode verdicts silently go
-// stale, the exact unsoundness the sweep-vs-push fuzzer can only catch
-// by luck.
+// The fleet's push evaluator, through the catalogue's read plan
+// (core.Plan), re-evaluates a check only when an event touches one of
+// its declared keys — an under-declared read means push-mode verdicts
+// silently go stale, the exact unsoundness the sweep-vs-push fuzzer can
+// only catch by luck.
 //
 // For every named type of the package implementing core.Checkable or
 // core.ContextChecker (methods declared in this package's non-test
@@ -28,7 +28,7 @@
 //   - a declared key the analyzer cannot resolve → warning;
 //   - a Checkable that reads host state but implements no KeyReader at
 //     all → warning (conservative every-delta fan-out, see
-//     fleet.DepIndex.Unindexed).
+//     core.Plan.Unindexed).
 //
 // Known limits: the summarizer follows same-package calls only (bounded
 // depth); host state reached through function values that close over a

@@ -307,12 +307,12 @@ func E7bEngineRobustness(seed int64) *report.Table {
 		if !inject {
 			return cat, h
 		}
-		faulted := core.NewCatalog()
-		for i, r := range cat.All() {
-			faulted.MustRegister(core.InjectFaults(r,
-				engine.NewFaultInjector(seed+int64(i), plan)))
+		reqs := cat.All()
+		faulted := make([]core.CheckableEnforceableRequirement, len(reqs))
+		for i, r := range reqs {
+			faulted[i] = core.InjectFaults(r, engine.NewFaultInjector(seed+int64(i), plan))
 		}
-		return faulted, h
+		return core.MustCatalog(faulted...), h
 	}
 
 	clean, _ := mk(false)

@@ -2,129 +2,88 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
-// Catalog is a registry of named checkable/enforceable requirements: the Go
-// analogue of the RQCODE pattern catalogue repository. It is safe for
-// concurrent use.
+// Catalog is a fixed set of named checkable/enforceable requirements: the
+// Go analogue of the RQCODE pattern catalogue repository. It is built once
+// by NewCatalog, sorted by finding ID, with its read plan compiled at
+// construction, and never changes after; it is safe for concurrent use.
 type Catalog struct {
-	mu   sync.RWMutex
-	byID map[string]CheckableEnforceableRequirement
-	// sorted caches the finding IDs in sorted order so repeated audit
-	// sweeps (IDs, All, RunEngine) don't re-sort an unchanged catalogue.
-	// nil means stale; Register invalidates, IDs rebuilds on demand.
-	sorted []string
-	// plan memoises the compiled read plan (Plan); nil means stale, and
-	// Register invalidates it exactly like sorted.
+	// reqs holds the requirements ordered by finding ID; reqs[i] is the
+	// entry plan.IDs()[i] names.
+	reqs []CheckableEnforceableRequirement
 	plan *Plan
 }
 
-// NewCatalog returns an empty catalogue.
-func NewCatalog() *Catalog {
-	return &Catalog{byID: make(map[string]CheckableEnforceableRequirement)}
+// NewCatalog returns the catalogue of reqs, in any order. Every finding ID
+// must be non-empty and unique: catalogue entries are intended to be
+// unique per STIG finding.
+func NewCatalog(reqs ...CheckableEnforceableRequirement) (*Catalog, error) {
+	sorted := slices.Clip(slices.Clone(reqs))
+	slices.SortFunc(sorted, func(a, b CheckableEnforceableRequirement) int {
+		return strings.Compare(a.FindingID(), b.FindingID())
+	})
+	ids := make([]string, len(sorted))
+	reads := make([][]string, len(sorted))
+	for i, r := range sorted {
+		ids[i] = r.FindingID()
+		// Empty IDs sort first and duplicates sort adjacent.
+		if ids[i] == "" || i > 0 && ids[i] == ids[i-1] {
+			return nil, firstInvalid(reqs)
+		}
+		reads[i] = declaredReads(r)
+	}
+	return &Catalog{reqs: sorted, plan: internPlan(ids, reads)}, nil
 }
 
-// Register adds a requirement under its finding ID. Registering a second
-// requirement with the same ID is an error: catalogue entries are intended
-// to be unique per STIG finding.
-func (c *Catalog) Register(r CheckableEnforceableRequirement) error {
-	id := r.FindingID()
-	if id == "" {
-		return fmt.Errorf("core: requirement has empty finding ID")
+// firstInvalid returns the error for the first empty or repeated finding
+// ID in reqs, in argument order.
+func firstInvalid(reqs []CheckableEnforceableRequirement) error {
+	seen := make(map[string]bool, len(reqs))
+	for _, r := range reqs {
+		id := r.FindingID()
+		if id == "" {
+			return fmt.Errorf("core: requirement has empty finding ID")
+		}
+		if seen[id] {
+			return fmt.Errorf("core: duplicate requirement %q", id)
+		}
+		seen[id] = true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.byID[id]; dup {
-		return fmt.Errorf("core: duplicate requirement %q", id)
-	}
-	c.byID[id] = r
-	c.sorted = nil
-	c.plan = nil
 	return nil
 }
 
-// MustRegister is Register that panics on error, for use in catalogue
+// MustCatalog is NewCatalog that panics on error, for use in catalogue
 // construction code where a duplicate is a programming error.
-func (c *Catalog) MustRegister(r CheckableEnforceableRequirement) {
-	if err := c.Register(r); err != nil {
+func MustCatalog(reqs ...CheckableEnforceableRequirement) *Catalog {
+	c, err := NewCatalog(reqs...)
+	if err != nil {
 		panic(err)
 	}
+	return c
 }
 
-// Lookup returns the requirement registered under id.
+// Lookup returns the requirement with finding ID id.
 func (c *Catalog) Lookup(id string) (CheckableEnforceableRequirement, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	r, ok := c.byID[id]
-	return r, ok
-}
-
-// Len reports the number of registered requirements.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.byID)
-}
-
-// IDs returns the sorted finding IDs of all registered requirements. The
-// sorted order is computed once and cached until the next Register, so the
-// cost of repeated sweeps is one copy, not one sort.
-func (c *Catalog) IDs() []string {
-	c.mu.RLock()
-	if c.sorted != nil {
-		out := make([]string, len(c.sorted))
-		copy(out, c.sorted)
-		c.mu.RUnlock()
-		return out
+	i, found := slices.BinarySearch(c.plan.ids, id)
+	if !found {
+		return nil, false
 	}
-	c.mu.RUnlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := c.sortedLocked()
-	out := make([]string, len(ids))
-	copy(out, ids)
-	return out
+	return c.reqs[i], true
 }
 
-// sortedLocked returns the cached sorted order, rebuilding it if stale.
-// Callers must hold the write lock.
-func (c *Catalog) sortedLocked() []string {
-	if c.sorted == nil {
-		ids := make([]string, 0, len(c.byID))
-		for id := range c.byID {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		c.sorted = ids
-	}
-	return c.sorted
-}
+// Len reports the number of requirements.
+func (c *Catalog) Len() int { return len(c.reqs) }
 
-// All returns all requirements ordered by finding ID.
-func (c *Catalog) All() []CheckableEnforceableRequirement {
-	c.mu.RLock()
-	if c.sorted != nil {
-		out := c.allLocked(c.sorted)
-		c.mu.RUnlock()
-		return out
-	}
-	c.mu.RUnlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.allLocked(c.sortedLocked())
-}
+// IDs returns the sorted finding IDs of all requirements. The slice is
+// shared and must not be mutated.
+func (c *Catalog) IDs() []string { return c.plan.ids }
 
-// allLocked materialises the requirements for ids; callers hold c.mu.
-func (c *Catalog) allLocked(ids []string) []CheckableEnforceableRequirement {
-	out := make([]CheckableEnforceableRequirement, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.byID[id])
-	}
-	return out
-}
+// All returns all requirements ordered by finding ID. The slice is shared
+// and must not be mutated; build a new one (slices.Concat) to extend it.
+func (c *Catalog) All() []CheckableEnforceableRequirement { return c.reqs }
 
 // Result is the outcome of running one catalogue entry.
 type Result struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,12 +15,12 @@ func newFake(id, sev string, compliant, enforceOK bool) *fakeReq {
 }
 
 func TestCatalogRegisterAndLookup(t *testing.T) {
-	c := NewCatalog()
-	if err := c.Register(newFake("V-1", "medium", true, true)); err != nil {
-		t.Fatalf("Register: %v", err)
+	c, err := NewCatalog(newFake("V-1", "medium", true, true))
+	if err != nil {
+		t.Fatalf("NewCatalog: %v", err)
 	}
 	if _, ok := c.Lookup("V-1"); !ok {
-		t.Error("registered requirement not found")
+		t.Error("catalogued requirement not found")
 	}
 	if _, ok := c.Lookup("V-404"); ok {
 		t.Error("lookup of unknown ID succeeded")
@@ -30,92 +31,58 @@ func TestCatalogRegisterAndLookup(t *testing.T) {
 }
 
 func TestCatalogRejectsDuplicates(t *testing.T) {
-	c := NewCatalog()
-	if err := c.Register(newFake("V-1", "low", true, true)); err != nil {
-		t.Fatal(err)
+	_, err := NewCatalog(newFake("V-1", "low", true, true), newFake("V-1", "low", true, true))
+	if err == nil || err.Error() != `core: duplicate requirement "V-1"` {
+		t.Errorf("duplicate IDs: err = %v", err)
 	}
-	if err := c.Register(newFake("V-1", "low", true, true)); err == nil {
-		t.Error("duplicate registration must fail")
+	// With several faults, the first in argument order is reported.
+	_, err = NewCatalog(newFake("V-2", "low", true, true), newFake("V-1", "low", true, true),
+		newFake("V-2", "low", true, true), newFake("V-1", "low", true, true))
+	if err == nil || err.Error() != `core: duplicate requirement "V-2"` {
+		t.Errorf("first duplicate: err = %v, want V-2", err)
 	}
 }
 
 func TestCatalogRejectsEmptyID(t *testing.T) {
-	c := NewCatalog()
-	if err := c.Register(newFake("", "low", true, true)); err == nil {
-		t.Error("empty finding ID must be rejected")
+	_, err := NewCatalog(newFake("V-1", "low", true, true), newFake("", "low", true, true))
+	if err == nil || err.Error() != "core: requirement has empty finding ID" {
+		t.Errorf("empty finding ID: err = %v", err)
 	}
 }
 
 func TestMustRegisterPanicsOnDuplicate(t *testing.T) {
-	c := NewCatalog()
-	c.MustRegister(newFake("V-1", "low", true, true))
 	defer func() {
 		if recover() == nil {
-			t.Error("MustRegister should panic on duplicate")
+			t.Error("MustCatalog should panic on duplicate")
 		}
 	}()
-	c.MustRegister(newFake("V-1", "low", true, true))
+	MustCatalog(newFake("V-1", "low", true, true), newFake("V-1", "low", true, true))
 }
 
 func TestCatalogIDsSorted(t *testing.T) {
-	c := NewCatalog()
+	var reqs []CheckableEnforceableRequirement
 	for _, id := range []string{"V-9", "V-1", "V-5"} {
-		c.MustRegister(newFake(id, "low", true, true))
+		reqs = append(reqs, newFake(id, "low", true, true))
 	}
-	ids := c.IDs()
+	c := MustCatalog(reqs...)
 	want := []string{"V-1", "V-5", "V-9"}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("IDs() = %v, want %v", ids, want)
-		}
+	if ids := c.IDs(); !slices.Equal(ids, want) {
+		t.Fatalf("IDs() = %v, want %v", ids, want)
 	}
-}
-
-func TestCatalogSortedCacheInvalidatedByRegister(t *testing.T) {
-	c := NewCatalog()
-	c.MustRegister(newFake("V-5", "low", true, true))
-	c.MustRegister(newFake("V-1", "low", true, true))
-	first := c.IDs() // primes the cache
-	if len(first) != 2 || first[0] != "V-1" {
-		t.Fatalf("IDs = %v", first)
-	}
-	c.MustRegister(newFake("V-3", "low", true, true))
-	got := c.IDs()
-	want := []string{"V-1", "V-3", "V-5"}
-	if len(got) != len(want) {
-		t.Fatalf("IDs after Register = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("IDs after Register = %v, want %v", got, want)
-		}
-	}
-	// All must see the new entry in the same order.
-	all := c.All()
-	for i, r := range all {
+	for i, r := range c.All() {
 		if r.FindingID() != want[i] {
 			t.Fatalf("All[%d] = %s, want %s", i, r.FindingID(), want[i])
 		}
 	}
-}
-
-func TestCatalogIDsReturnsPrivateCopy(t *testing.T) {
-	c := NewCatalog()
-	c.MustRegister(newFake("V-1", "low", true, true))
-	c.MustRegister(newFake("V-2", "low", true, true))
-	ids := c.IDs()
-	ids[0] = "mutated"
-	again := c.IDs()
-	if again[0] != "V-1" {
-		t.Errorf("caller mutation leaked into the cache: %v", again)
+	// The catalogue sorts its own copy: the caller's slice is untouched.
+	if reqs[0].FindingID() != "V-9" {
+		t.Errorf("NewCatalog reordered the caller's slice: %s first", reqs[0].FindingID())
 	}
 }
 
 func TestRunCheckOnly(t *testing.T) {
-	c := NewCatalog()
 	bad := newFake("V-2", "high", false, true)
-	c.MustRegister(newFake("V-1", "medium", true, true))
-	c.MustRegister(bad)
+	c := MustCatalog(newFake("V-1", "medium", true, true), bad)
 
 	rep := c.Run(CheckOnly)
 	if len(rep.Results) != 2 {
@@ -134,12 +101,9 @@ func TestRunCheckOnly(t *testing.T) {
 }
 
 func TestRunCheckAndEnforce(t *testing.T) {
-	c := NewCatalog()
 	fixable := newFake("V-2", "high", false, true)
 	stuck := newFake("V-3", "high", false, false)
-	c.MustRegister(newFake("V-1", "medium", true, true))
-	c.MustRegister(fixable)
-	c.MustRegister(stuck)
+	c := MustCatalog(newFake("V-1", "medium", true, true), fixable, stuck)
 
 	rep := c.Run(CheckAndEnforce)
 	pass, fail, _ := rep.Counts()
@@ -162,8 +126,7 @@ func TestRunCheckAndEnforce(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	c := NewCatalog()
-	c.MustRegister(newFake("V-1", "medium", false, true))
+	c := MustCatalog(newFake("V-1", "medium", false, true))
 	rep := c.Run(CheckAndEnforce)
 	s := rep.String()
 	for _, want := range []string{"V-1", "FAIL", "SUCCESS", "PASS", "compliance: 100.0%"} {
@@ -184,7 +147,7 @@ func TestEmptyReportCompliance(t *testing.T) {
 }
 
 func TestCatalogConcurrentAccess(t *testing.T) {
-	c := NewCatalog()
+	c := MustCatalog(newFake("V-1", "low", true, true))
 	done := make(chan bool)
 	go func() {
 		for i := 0; i < 100; i++ {
@@ -194,7 +157,8 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 		done <- true
 	}()
 	for i := 0; i < 100; i++ {
-		_ = c.Register(newFake("V-1", "low", true, true)) // only first succeeds
+		c.All()
+		c.Plan()
 	}
 	<-done
 	if c.Len() != 1 {

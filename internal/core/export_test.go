@@ -8,10 +8,11 @@ import (
 )
 
 func exportReport() Report {
-	c := NewCatalog()
-	c.MustRegister(newFake("V-1", "medium", true, true))
-	c.MustRegister(newFake("V-2", "high", false, true))
-	c.MustRegister(newFake("V-3", "high", false, false))
+	c := MustCatalog(
+		newFake("V-1", "medium", true, true),
+		newFake("V-2", "high", false, true),
+		newFake("V-3", "high", false, false),
+	)
 	return c.Run(CheckAndEnforce)
 }
 

@@ -65,13 +65,15 @@ func TestCheckKeysAbsorbsPanic(t *testing.T) {
 }
 
 func TestRunEngineOnlySubset(t *testing.T) {
-	c := NewCatalog()
 	var a, b, d atomic.Int64
-	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-2"}, verdict: CheckPass, calls: &b})
-	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-1"}, verdict: CheckFail, calls: &a})
-	c.MustRegister(&keyedReq{Finding: Finding{ID: "V-3"}, verdict: CheckPass, calls: &d})
+	c := MustCatalog(
+		&keyedReq{Finding: Finding{ID: "V-2"}, verdict: CheckPass, calls: &b},
+		&keyedReq{Finding: Finding{ID: "V-1"}, verdict: CheckFail, calls: &a},
+		&keyedReq{Finding: Finding{ID: "V-3"}, verdict: CheckPass, calls: &d},
+	)
 
-	rep, stats := c.RunEngine(RunOptions{Only: []string{"V-3", "V-1", "V-404"}})
+	// Unsorted, repeated and unknown IDs: each known one runs once.
+	rep, stats := c.RunEngine(RunOptions{Only: []string{"V-3", "V-1", "V-404", "V-1"}})
 	if a.Load() != 1 || b.Load() != 0 || d.Load() != 1 {
 		t.Errorf("calls = V-1:%d V-2:%d V-3:%d, want 1/0/1", a.Load(), b.Load(), d.Load())
 	}

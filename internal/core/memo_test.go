@@ -118,8 +118,7 @@ func TestRunEngineDedupsSharedFingerprints(t *testing.T) {
 	var calls atomic.Int64
 	var hits, misses int
 	for i := 0; i < 8; i++ {
-		cat := NewCatalog()
-		cat.MustRegister(&digestReq{
+		cat := MustCatalog(&digestReq{
 			Finding: Finding{ID: "V-9", Sev: "medium"},
 			digest:  "fleet-state", ok: true,
 			verdict: CheckFail, calls: &calls,
@@ -142,8 +141,7 @@ func TestRunEngineDedupsSharedFingerprints(t *testing.T) {
 func TestRunEngineDedupOffWithoutMemoOrInEnforceMode(t *testing.T) {
 	var calls atomic.Int64
 	mk := func() *Catalog {
-		cat := NewCatalog()
-		cat.MustRegister(&digestReq{
+		cat := MustCatalog(&digestReq{
 			Finding: Finding{ID: "V-9"}, digest: "s", ok: true,
 			verdict: CheckPass, calls: &calls,
 		})
@@ -179,15 +177,15 @@ func TestRunEngineDedupConcurrentHosts(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cat := NewCatalog()
-			for j := 0; j < 4; j++ {
-				cat.MustRegister(&digestReq{
+			reqs := make([]CheckableEnforceableRequirement, 4)
+			for j := range reqs {
+				reqs[j] = &digestReq{
 					Finding: Finding{ID: fmt.Sprintf("V-%d", j)},
 					digest:  "shared", ok: true,
 					verdict: CheckFail, calls: &calls, delay: time.Millisecond,
-				})
+				}
 			}
-			reports[i], _ = cat.RunEngine(RunOptions{Mode: CheckOnly, Workers: 2, Memo: memo})
+			reports[i], _ = MustCatalog(reqs...).RunEngine(RunOptions{Mode: CheckOnly, Workers: 2, Memo: memo})
 		}(i)
 	}
 	wg.Wait()

@@ -30,15 +30,15 @@ func runParallel(c *Catalog, mode RunMode, workers int) Report {
 }
 
 func parallelCatalog(n int, failEvery int) (*Catalog, []*atomicReq) {
-	c := NewCatalog()
 	reqs := make([]*atomicReq, 0, n)
+	all := make([]CheckableEnforceableRequirement, 0, n)
 	for i := 0; i < n; i++ {
 		r := &atomicReq{Finding: Finding{ID: fmt.Sprintf("V-%04d", i), Sev: "low"}}
 		r.compliant.Store(failEvery == 0 || i%failEvery != 0)
-		c.MustRegister(r)
 		reqs = append(reqs, r)
+		all = append(all, r)
 	}
-	return c, reqs
+	return MustCatalog(all...), reqs
 }
 
 func TestRunParallelMatchesSequential(t *testing.T) {
@@ -87,7 +87,7 @@ func TestRunParallelDegenerateWorkers(t *testing.T) {
 	if rep := runParallel(cat2, CheckOnly, 50); len(rep.Results) != 2 {
 		t.Error("worker count must clamp to the catalogue size")
 	}
-	empty := NewCatalog()
+	empty := MustCatalog()
 	if rep := runParallel(empty, CheckAndEnforce, 4); len(rep.Results) != 0 {
 		t.Error("empty catalogue")
 	}

@@ -11,7 +11,7 @@ import (
 // (KeyReader) — depends only on how its requirements were constructed,
 // not on the host they are bound to. A fleet of 10k hosts running the
 // same STIG catalogue therefore has exactly one policy, and Plan is its
-// compiled, immutable form: compiled once per catalogue (Catalog.Plan),
+// compiled, immutable form: compiled once per catalogue (NewCatalog),
 // then shared through a content-keyed intern table by every catalogue
 // whose declarations are equal.
 
@@ -38,37 +38,17 @@ type Plan struct {
 	byKey map[string][]string
 }
 
-// Plan returns the catalogue's compiled read plan, compiling it on first
-// use. The plan is memoised until the next Register, and is shared with
-// every other catalogue whose declarations are equal.
+// emptyPlan is the plan of a nil catalogue.
+var emptyPlan = internPlan(nil, nil)
+
+// Plan returns the catalogue's compiled read plan, shared with every
+// other catalogue whose declarations are equal. A nil catalogue has the
+// empty plan.
 func (c *Catalog) Plan() *Plan {
-	c.mu.RLock()
-	p := c.plan
-	c.mu.RUnlock()
-	if p != nil {
-		return p
+	if c == nil {
+		return emptyPlan
 	}
-	// Snapshot under the lock, then ask the requirements for their
-	// declarations outside it: CheckStateKeys is requirement code. The
-	// sorted ID cache is never mutated in place (Register drops it), so
-	// the plan can share it.
-	c.mu.Lock()
-	ids := c.sortedLocked()
-	reqs := c.allLocked(ids)
-	c.mu.Unlock()
-	reads := make([][]string, len(reqs))
-	for i, r := range reqs {
-		reads[i] = declaredReads(r)
-	}
-	p = internPlan(ids, reads)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Register only ever adds, so an unchanged size means none ran in
-	// between and the plan is current.
-	if c.plan == nil && len(c.byID) == len(ids) {
-		c.plan = p
-	}
-	return p
+	return c.plan
 }
 
 // declaredReads returns the sorted, deduplicated keys r declares, nil
@@ -92,8 +72,8 @@ func declaredReads(r Requirement) []string {
 
 // maxInternedPlans bounds the intern table. The table gains one entry
 // per distinct declaration set, which a process normally builds a
-// handful of; past the bound, plans still compile and memoise on their
-// catalogue but are no longer shared.
+// handful of; past the bound, plans still compile, one per catalogue,
+// but are no longer shared.
 const maxInternedPlans = 4096
 
 var interned = struct {

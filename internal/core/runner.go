@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"veridevops/internal/engine"
@@ -51,10 +52,11 @@ type RunOptions struct {
 	Metrics *telemetry.Metrics
 	// Only, when non-nil, restricts the run to the catalogue entries whose
 	// finding ID is in the set — the subset path of push-based incremental
-	// evaluation, where a host-state delta maps through fleet.DepIndex to
-	// the handful of affected checks. Unknown IDs are ignored; the report
-	// keeps finding-ID order; an empty non-nil slice runs nothing. nil
-	// (the default) runs the whole catalogue.
+	// evaluation, where a host-state delta maps through the catalogue's
+	// Plan to the handful of affected checks. Unknown IDs are ignored and
+	// repeated ones run once; the report keeps finding-ID order; an empty
+	// non-nil slice runs nothing. nil (the default) runs the whole
+	// catalogue.
 	Only []string
 }
 
@@ -239,21 +241,9 @@ func runRequirementLive(req CheckableEnforceableRequirement, mode RunMode, pol e
 // order), which is how delta evaluation re-checks just the requirements
 // affected by a host-state change.
 func (c *Catalog) RunEngine(opts RunOptions) (Report, RunStats) {
-	reqs := c.All()
+	reqs := c.reqs
 	if opts.Only != nil {
-		want := make(map[string]bool, len(opts.Only))
-		for _, id := range opts.Only {
-			want[id] = true
-		}
-		// All() returns a fresh sorted slice, so filtering in place keeps
-		// finding-ID order and touches no shared state.
-		kept := reqs[:0]
-		for _, req := range reqs {
-			if want[req.FindingID()] {
-				kept = append(kept, req)
-			}
-		}
-		reqs = kept
+		reqs = c.subset(opts.Only)
 	}
 	outs, ps := engine.Map(reqs, opts.Workers,
 		func(i int, req CheckableEnforceableRequirement) engineOutcome {
@@ -285,6 +275,24 @@ func (c *Catalog) RunEngine(opts RunOptions) (Report, RunStats) {
 	}
 	recordRunMetrics(opts.Metrics, stats)
 	return rep, stats
+}
+
+// subset returns the requirements named in only, in finding-ID order,
+// each once; unknown IDs are skipped.
+func (c *Catalog) subset(only []string) []CheckableEnforceableRequirement {
+	idx := make([]int, 0, len(only))
+	for _, id := range only {
+		if i, found := slices.BinarySearch(c.plan.ids, id); found {
+			idx = append(idx, i)
+		}
+	}
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	reqs := make([]CheckableEnforceableRequirement, len(idx))
+	for j, i := range idx {
+		reqs[j] = c.reqs[i]
+	}
+	return reqs
 }
 
 // recordRunMetrics folds one run's telemetry into the shared metrics

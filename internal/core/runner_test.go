@@ -41,17 +41,18 @@ func noBackoff(attempts int) engine.Policy {
 // faultedCatalog builds the acceptance scenario: a panicking, a flaky
 // (fails twice then passes), a slow, and several clean requirements.
 func faultedCatalog() *Catalog {
-	c := NewCatalog()
-	c.MustRegister(InjectFaults(passingReq("V-0001-PANIC"),
-		engine.NewFaultInjector(1, engine.FaultPlan{PanicProb: 1})))
-	c.MustRegister(InjectFaults(passingReq("V-0002-FLAKY"),
-		engine.NewFaultInjector(1, engine.FaultPlan{FailFirst: 2})))
-	c.MustRegister(InjectFaults(passingReq("V-0003-SLOW"),
-		engine.NewFaultInjector(1, engine.FaultPlan{SlowProb: 1, SlowDelay: time.Millisecond})))
-	for i := 4; i < 10; i++ {
-		c.MustRegister(passingReq(fmt.Sprintf("V-%04d-OK", i)))
+	reqs := []CheckableEnforceableRequirement{
+		InjectFaults(passingReq("V-0001-PANIC"),
+			engine.NewFaultInjector(1, engine.FaultPlan{PanicProb: 1})),
+		InjectFaults(passingReq("V-0002-FLAKY"),
+			engine.NewFaultInjector(1, engine.FaultPlan{FailFirst: 2})),
+		InjectFaults(passingReq("V-0003-SLOW"),
+			engine.NewFaultInjector(1, engine.FaultPlan{SlowProb: 1, SlowDelay: time.Millisecond})),
 	}
-	return c
+	for i := 4; i < 10; i++ {
+		reqs = append(reqs, passingReq(fmt.Sprintf("V-%04d-OK", i)))
+	}
+	return MustCatalog(reqs...)
 }
 
 func TestEngineFaultedCatalogCompletes(t *testing.T) {
@@ -105,15 +106,15 @@ func TestEngineParitySequentialVsParallel(t *testing.T) {
 	// Sequential and parallel runs must produce identical reports — order and
 	// content — on the same catalogue state, including under retries.
 	mk := func() *Catalog {
-		c := NewCatalog()
+		var reqs []CheckableEnforceableRequirement
 		for i := 0; i < 50; i++ {
 			r := passingReq(fmt.Sprintf("V-%04d", i))
 			r.compliant.Store(i%3 != 0)
-			c.MustRegister(r)
+			reqs = append(reqs, r)
 		}
-		c.MustRegister(InjectFaults(passingReq("V-9999-FLAKY"),
+		reqs = append(reqs, InjectFaults(passingReq("V-9999-FLAKY"),
 			engine.NewFaultInjector(7, engine.FaultPlan{FailFirst: 1})))
-		return c
+		return MustCatalog(reqs...)
 	}
 	seq, _ := mk().RunEngine(RunOptions{Mode: CheckOnly, Workers: 1, Checks: noBackoff(3)})
 	par, _ := mk().RunEngine(RunOptions{Mode: CheckOnly, Workers: 8, Checks: noBackoff(3)})
@@ -163,8 +164,7 @@ func (p *panicEnforceReq) Check() CheckStatus         { return CheckFail }
 func (p *panicEnforceReq) Enforce() EnforcementStatus { panic("enforcement agent crashed") }
 
 func TestEngineEnforcePanicIsFailure(t *testing.T) {
-	cat := NewCatalog()
-	cat.MustRegister(&panicEnforceReq{Finding{ID: "V-0001", Sev: "high"}})
+	cat := MustCatalog(&panicEnforceReq{Finding{ID: "V-0001", Sev: "high"}})
 	rep, st := cat.RunEngine(RunOptions{Mode: CheckAndEnforce, Workers: 1})
 	r := rep.Results[0]
 	if !r.Enforced || r.Enforcement != EnforceFailure {
@@ -182,8 +182,7 @@ func TestEngineIncompleteRetriedOnlyWhenRequested(t *testing.T) {
 	// Default policy: one attempt, INCOMPLETE stands.
 	incStatuses := []CheckStatus{CheckIncomplete, CheckPass}
 	i := 0
-	cat := NewCatalog()
-	cat.MustRegister(&funcReq{
+	cat := MustCatalog(&funcReq{
 		Finding: Finding{ID: "V-0001"},
 		check: func() CheckStatus {
 			s := incStatuses[i%len(incStatuses)]

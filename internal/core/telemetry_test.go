@@ -115,10 +115,9 @@ func TestRunEngineEnforceSpans(t *testing.T) {
 	tr := telemetry.New(&buf)
 	root := tr.Root("run")
 
-	c := NewCatalog()
 	r := passingReq("V-0001")
 	r.compliant.Store(false)
-	c.MustRegister(r)
+	c := MustCatalog(r)
 	rep, _ := c.RunEngine(RunOptions{Mode: CheckAndEnforce, Span: root})
 	root.End()
 	tr.Flush()

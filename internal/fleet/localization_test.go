@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,13 +12,12 @@ import (
 
 // mixedCatalog holds 8 indexed stig checks plus one unindexed plainReq.
 func mixedCatalog(h *host.Linux) *core.Catalog {
-	cat := stig.UbuntuCatalog(h)
-	cat.MustRegister(&plainReq{
+	unindexed := &plainReq{
 		Finding:     core.Finding{ID: "V-000009", Sev: "low", Desc: "undeclared probe"},
 		CheckFunc:   func() core.CheckStatus { return core.CheckPass },
 		EnforceFunc: func() core.EnforcementStatus { return core.EnforceSuccess },
-	})
-	return cat
+	}
+	return core.MustCatalog(slices.Concat(stig.UbuntuCatalog(h).All(), []core.CheckableEnforceableRequirement{unindexed})...)
 }
 
 func TestSweepReadLocalizationCounts(t *testing.T) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"veridevops/internal/core"
@@ -9,9 +10,9 @@ import (
 	"veridevops/internal/stig"
 )
 
-func TestBuildDepIndexCoversUbuntuCatalog(t *testing.T) {
+func TestPlanCoversUbuntuCatalog(t *testing.T) {
 	h := host.NewUbuntu1804()
-	x := BuildDepIndex(stig.UbuntuCatalog(h))
+	x := stig.UbuntuCatalog(h).Plan()
 	if x.Findings() != 8 {
 		t.Fatalf("Findings = %d, want 8", x.Findings())
 	}
@@ -41,12 +42,12 @@ type plainReq struct {
 	core.EnforceFunc
 }
 
-func TestDepIndexUnindexedAlwaysAffected(t *testing.T) {
+func TestPlanUnindexedAlwaysAffected(t *testing.T) {
 	h := host.NewUbuntu1804()
-	c := core.NewCatalog()
-	c.MustRegister(stig.NewV219343(h)) // declares pkg:aide
-	c.MustRegister(&plainReq{Finding: core.Finding{ID: "V-000001"}})
-	x := BuildDepIndex(c)
+	x := core.MustCatalog(
+		stig.NewV219343(h), // declares pkg:aide
+		&plainReq{Finding: core.Finding{ID: "V-000001"}},
+	).Plan()
 	if !reflect.DeepEqual(x.Unindexed(), []string{"V-000001"}) {
 		t.Fatalf("Unindexed = %v", x.Unindexed())
 	}
@@ -60,28 +61,21 @@ func TestDepIndexUnindexedAlwaysAffected(t *testing.T) {
 	}
 }
 
-// TestDepIndexOrderIndependent pins the determinism satellite: two
-// catalogues holding the same requirements registered in opposite
-// orders build deeply-equal indexes — construction iterates the
-// ID-sorted Catalog.All, never a map.
-func TestDepIndexOrderIndependent(t *testing.T) {
+// TestPlanOrderIndependent pins determinism: two catalogues holding the
+// same requirements passed in opposite orders compile deeply-equal
+// plans — construction sorts by finding ID, never iterates a map.
+func TestPlanOrderIndependent(t *testing.T) {
 	h := host.NewUbuntu1804()
-	build := func(reverse bool) *DepIndex {
-		reqs := stig.UbuntuCatalog(h).All()
+	build := func(reverse bool) *core.Plan {
+		reqs := slices.Clone(stig.UbuntuCatalog(h).All())
 		if reverse {
-			for i, j := 0, len(reqs)-1; i < j; i, j = i+1, j-1 {
-				reqs[i], reqs[j] = reqs[j], reqs[i]
-			}
+			slices.Reverse(reqs)
 		}
-		c := core.NewCatalog()
-		for _, r := range reqs {
-			c.MustRegister(r)
-		}
-		return BuildDepIndex(c)
+		return core.MustCatalog(reqs...).Plan()
 	}
 	a, b := build(false), build(true)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("indexes differ by registration order:\n%+v\n%+v", a, b)
+		t.Errorf("plans differ by argument order:\n%+v\n%+v", a, b)
 	}
 	// And rebuilding from the same catalogue is stable.
 	if c := build(false); !reflect.DeepEqual(a, c) {

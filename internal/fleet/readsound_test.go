@@ -47,8 +47,7 @@ func leakyFixture(declareHidden bool) (*Streamer, Target, *host.Linux, *core.Cat
 	h := host.NewLinux()
 	h.Install("base", "1")
 	h.Install("hidden", "1")
-	cat := core.NewCatalog()
-	cat.MustRegister(&leakyCheck{
+	cat := core.MustCatalog(&leakyCheck{
 		Finding:       core.Finding{ID: "LEAK-1", Sev: "high", Desc: "reads base and hidden packages"},
 		H:             h,
 		Declared:      "base",

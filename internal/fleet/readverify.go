@@ -23,7 +23,8 @@ import (
 //   - a declared key that was not read is advisory only — short-circuit
 //     evaluation legitimately skips reads on some states;
 //   - a check that reads but implements no KeyReader is advisory
-//     ("unlocalized"): DepIndex already treats it conservatively.
+//     ("unlocalized"): the catalogue's Plan already treats it
+//     conservatively.
 
 // Violation kinds.
 const (
@@ -85,18 +86,19 @@ func VerifyReads(cat *core.Catalog, hosts ...Recordable) []ReadViolation {
 		}
 	}()
 
+	plan := cat.Plan()
 	var out []ReadViolation
-	for _, req := range cat.All() {
+	for _, id := range plan.IDs() {
 		rec.Reset()
-		cat.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 1, Only: []string{req.FindingID()}})
+		cat.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 1, Only: []string{id}})
 		read := rec.Keys()
-		declared, localized := core.CheckKeys(req)
-		sort.Strings(declared)
+		// The plan's declaration is the one push evaluation acts on.
+		declared, localized := plan.Reads(id)
 
 		if !localized {
 			if len(read) > 0 {
 				out = append(out, ReadViolation{
-					Finding: req.FindingID(), Kind: ViolationUnlocalized,
+					Finding: id, Kind: ViolationUnlocalized,
 					Keys: read, Declared: declared, Read: read,
 				})
 			}
@@ -122,13 +124,13 @@ func VerifyReads(cat *core.Catalog, hosts ...Recordable) []ReadViolation {
 		}
 		if len(undeclared) > 0 {
 			out = append(out, ReadViolation{
-				Finding: req.FindingID(), Kind: ViolationUndeclared,
+				Finding: id, Kind: ViolationUndeclared,
 				Keys: undeclared, Declared: declared, Read: read,
 			})
 		}
 		if len(unread) > 0 {
 			out = append(out, ReadViolation{
-				Finding: req.FindingID(), Kind: ViolationOverdeclared,
+				Finding: id, Kind: ViolationOverdeclared,
 				Keys: unread, Declared: declared, Read: read,
 			})
 		}

@@ -194,9 +194,6 @@ func (s FleetStats) Canonical() FleetStats {
 // fan-out cost an unindexed check imposes on push evaluation.
 func countLocalization(st *FleetStats, ts []Target) {
 	for _, t := range ts {
-		if t.Catalog == nil {
-			continue
-		}
 		p := t.Catalog.Plan()
 		st.IndexedChecks += len(p.Indexed())
 		st.UnindexedChecks += len(p.Unindexed())

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,8 +13,8 @@ import (
 
 // Streamer is the push-based incremental evaluator: it subscribes to
 // per-host EventLog tails, coalesces the state keys dirtied since the
-// last flush, maps them through each host's DepIndex (its catalogue's
-// shared read plan) to the affected checks, and re-runs only those —
+// last flush, maps them through each host's catalogue Plan (its shared
+// read policy) to the affected checks, and re-runs only those —
 // through the coordinator's per-host evaluation step, with the same
 // engine retry/fault tolerance, dedup memo and incremental cache the
 // batch sweeps use. Between flushes it maintains a live View (per-host,
@@ -84,12 +84,10 @@ func (o StreamOptions) evalOptions() Options {
 }
 
 // streamHost is one Watch registration: the audit target, its event
-// source, its dependency index (shared with every host whose catalogue
-// has equal declarations) and the tail cursor.
+// source and the tail cursor.
 type streamHost struct {
 	target Target
 	log    *host.EventLog
-	index  *DepIndex
 	cancel func()
 	// cursor is the next EventLog sequence to consume (host.EventLog.Tail).
 	cursor int
@@ -167,7 +165,7 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 // registration's full run folds over them, so an episode still open
 // raises no second alarm.
 func (s *Streamer) Watch(t Target, log *host.EventLog) {
-	sh := &streamHost{target: t, log: log, index: BuildDepIndex(t.Catalog)}
+	sh := &streamHost{target: t, log: log}
 	if log != nil {
 		name := t.Name
 		sh.cancel = log.Subscribe(func(host.Event) { s.markDirty(name) })
@@ -277,7 +275,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	for name := range s.dirty {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	s.dirty = map[string]bool{}
 	plans := make([]deltaPlan, 0, len(names))
 	for _, name := range names {
@@ -298,7 +296,6 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 		}
 		p.full = !sh.primed
 		var keys []string
-		seen := map[string]bool{}
 		for _, ev := range p.events {
 			// Unkeyed events (bulk provisioning, legacy appends) and
 			// connectivity flips touch the whole host.
@@ -306,14 +303,11 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 				p.full = true
 				break
 			}
-			if k := ev.Key.String(); !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
+			keys = append(keys, ev.Key.String())
 		}
 		if !p.full {
-			sort.Strings(keys)
-			p.only = sh.index.Affected(keys)
+			slices.Sort(keys)
+			p.only = sh.target.Catalog.Plan().Affected(slices.Compact(keys))
 			if p.only == nil {
 				// Distinguish "no affected checks" (re-stamp only) from
 				// the nil that means "run everything".

@@ -368,14 +368,14 @@ func gatedFixture(t *testing.T) (*Streamer, *Coordinator, Target, *host.Linux, *
 	t.Helper()
 	targets, hosts := LinuxFleet(1)
 	g := &gate{entered: make(chan struct{}), release: make(chan struct{})}
-	cat := core.NewCatalog()
+	var reqs []core.CheckableEnforceableRequirement
 	for _, r := range targets[0].Catalog.All() {
 		if r.FindingID() == "V-219343" {
 			r = gatedCheck{r, g}
 		}
-		cat.MustRegister(r)
+		reqs = append(reqs, r)
 	}
-	tg := Target{Name: targets[0].Name, Catalog: cat, Version: targets[0].Version}
+	tg := Target{Name: targets[0].Name, Catalog: core.MustCatalog(reqs...), Version: targets[0].Version}
 	coord := NewCoordinator()
 	s := NewStreamer(coord, StreamOptions{})
 	s.Watch(tg, hosts[0].Log())

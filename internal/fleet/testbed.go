@@ -42,11 +42,12 @@ func LinuxFleet(n int) ([]Target, []*host.Linux) {
 // live audit agent pays per probe. Metadata and Enforce pass through.
 func WithProbeDelay(t Target, delay time.Duration) Target {
 	plan := engine.FaultPlan{SlowProb: 1, SlowDelay: delay}
-	slowed := core.NewCatalog()
-	for _, r := range t.Catalog.All() {
-		slowed.MustRegister(core.InjectFaults(r, engine.NewFaultInjector(0, plan)))
+	reqs := t.Catalog.All()
+	slowed := make([]core.CheckableEnforceableRequirement, len(reqs))
+	for i, r := range reqs {
+		slowed[i] = core.InjectFaults(r, engine.NewFaultInjector(0, plan))
 	}
-	t.Catalog = slowed
+	t.Catalog = core.MustCatalog(slowed...)
 	return t
 }
 
@@ -84,10 +85,11 @@ func SkewedFleet(n, shards int, delay time.Duration, skew int) ([]Target, string
 // construction, so identical seeds and plans give identical fault
 // schedules regardless of shard interleaving.
 func WithFaults(t Target, seed int64, plan engine.FaultPlan) Target {
-	faulted := core.NewCatalog()
-	for i, r := range t.Catalog.All() {
-		faulted.MustRegister(core.InjectFaults(r, engine.NewFaultInjector(seed+int64(i), plan)))
+	reqs := t.Catalog.All()
+	faulted := make([]core.CheckableEnforceableRequirement, len(reqs))
+	for i, r := range reqs {
+		faulted[i] = core.InjectFaults(r, engine.NewFaultInjector(seed+int64(i), plan))
 	}
-	t.Catalog = faulted
+	t.Catalog = core.MustCatalog(faulted...)
 	return t
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -99,10 +100,18 @@ type EventLog struct {
 	// monotonic even if the log later gains truncation or compaction, so
 	// cache keys built on it never go backwards.
 	version uint64
-	// subs holds the append subscribers keyed by registration id, so a
-	// departed subscriber (Subscribe's cancel) leaves no hole to skip.
-	subs    map[int]func(Event)
+	// subs holds the append subscribers in registration order. It is
+	// copy-on-write: Subscribe and cancel install a new slice and never
+	// touch a published one, so an append notifies from the slice it read
+	// under the lock without copying it.
+	subs    []subscriber
 	nextSub int
+}
+
+// subscriber is one Subscribe registration; id lets cancel find it.
+type subscriber struct {
+	id int
+	fn func(Event)
 }
 
 // NewEventLog returns an empty log.
@@ -126,16 +135,10 @@ func (l *EventLog) AppendKeyed(action, detail string, key StateKey) int {
 	ev := Event{Seq: seq, At: time.Now(), Action: action, Detail: detail, Key: key}
 	l.events = append(l.events, ev)
 	l.version++
-	var subs []func(Event)
-	if len(l.subs) > 0 {
-		subs = make([]func(Event), 0, len(l.subs))
-		for _, fn := range l.subs {
-			subs = append(subs, fn)
-		}
-	}
+	subs := l.subs
 	l.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
+	for _, s := range subs {
+		s.fn(ev)
 	}
 	return seq
 }
@@ -150,16 +153,14 @@ func (l *EventLog) AppendKeyed(action, detail string, key StateKey) int {
 func (l *EventLog) Subscribe(fn func(Event)) (cancel func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.subs == nil {
-		l.subs = map[int]func(Event){}
-	}
 	id := l.nextSub
 	l.nextSub++
-	l.subs[id] = fn
+	// Clip forces append to copy: readers may hold the current slice.
+	l.subs = append(slices.Clip(l.subs), subscriber{id, fn})
 	return func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		delete(l.subs, id)
+		l.subs = slices.DeleteFunc(slices.Clone(l.subs), func(s subscriber) bool { return s.id == id })
 	}
 }
 

@@ -2,6 +2,7 @@ package host
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -293,5 +294,54 @@ func TestSetUnreachableLogsTransitions(t *testing.T) {
 	l.Install("aide", "1")
 	if !l.Installed("aide") {
 		t.Error("host unusable after outage cleared")
+	}
+}
+
+// TestEventLogSubscribeConcurrent: subscriptions come and go while
+// writers append; a subscriber registered throughout sees every append.
+func TestEventLogSubscribeConcurrent(t *testing.T) {
+	l := NewEventLog()
+	var seen atomic.Int64
+	defer l.Subscribe(func(Event) { seen.Add(1) })()
+	const writers, per = 4, 100
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				l.AppendKeyed("op", "x", PackageKey("p"))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < per; i++ {
+			l.Subscribe(func(Event) {})()
+		}
+	}()
+	wg.Wait()
+	if n := seen.Load(); n != writers*per {
+		t.Errorf("subscriber saw %d appends, want %d", n, writers*per)
+	}
+}
+
+// TestEventLogAppendSubscribedAllocs: notifying a subscriber costs an
+// append no allocation — the subscriber list is read, not copied.
+func TestEventLogAppendSubscribedAllocs(t *testing.T) {
+	appendAllocs := func(l *EventLog) float64 {
+		key := PackageKey("aide")
+		return testing.AllocsPerRun(1000, func() { l.AppendKeyed("apt.install", "aide", key) })
+	}
+	without := appendAllocs(NewEventLog())
+	l := NewEventLog()
+	var n int
+	defer l.Subscribe(func(Event) { n++ })()
+	if with := appendAllocs(l); with > without {
+		t.Errorf("append with one subscriber allocates %v times, without %v", with, without)
+	}
+	if n == 0 {
+		t.Error("subscriber was never notified")
 	}
 }

@@ -194,9 +194,34 @@ func TestTargetsBuiltOnce(t *testing.T) {
 	if tg := h.Target(); tg.Name != h.Name || tg.Catalog != h.Catalog() || tg.Version() == before {
 		t.Fatalf("Target = %+v: want the host's name, catalogue and live version", tg)
 	}
-	swapped := core.NewCatalog()
+	swapped := core.MustCatalog()
 	h.SetCatalog(swapped)
 	if tg := h.Target(); tg.Catalog != swapped || h.Catalog() != swapped || tg.Version() != h.Linux.Log().Version() {
 		t.Fatal("SetCatalog did not rebind the host's Target")
+	}
+}
+
+// TestWatchAllocs pins Streamer.Watch's per-host cost on synthesized
+// hosts: the catalogue's plan is compiled when the catalogue is built,
+// so a Watch only records the registration and subscribes to the log.
+func TestWatchAllocs(t *testing.T) {
+	f, err := Synthesize(smallTopology(), 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fleet.NewStreamer(fleet.NewCoordinator(), fleet.StreamOptions{})
+	hosts := f.Hosts()
+	next := 0
+	// AllocsPerRun calls the function runs+1 times: once per host.
+	allocs := testing.AllocsPerRun(len(hosts)-1, func() {
+		h := hosts[next]
+		next++
+		s.Watch(h.Target(), h.Linux.Log())
+	})
+	if allocs > 5 {
+		t.Errorf("Watch allocates %v times per host, want <= 5", allocs)
+	}
+	if s.Hosts() != len(hosts) {
+		t.Fatalf("watched %d hosts, want %d", s.Hosts(), len(hosts))
 	}
 }

@@ -508,12 +508,13 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 		sr.Detail = fmt.Sprintf("%d/%d churn events applied, fleet now %d", applied, st.Events, ex.fleet.Size())
 	case "faults":
 		ex.withCatalog(sr, st, func(h *loadgen.Host, seed int64) *core.Catalog {
-			nc := core.NewCatalog()
-			for j, r := range h.Catalog().All() {
-				nc.MustRegister(core.InjectFaults(r,
-					engine.NewFaultInjector(seed+int64(j), engine.FaultPlan{FailFirst: st.FailFirst})))
+			reqs := h.Catalog().All()
+			faulted := make([]core.CheckableEnforceableRequirement, len(reqs))
+			for j, r := range reqs {
+				faulted[j] = core.InjectFaults(r,
+					engine.NewFaultInjector(seed+int64(j), engine.FaultPlan{FailFirst: st.FailFirst}))
 			}
-			return nc
+			return core.MustCatalog(faulted...)
 		}, stepIndex)
 		sr.Detail = fmt.Sprintf("fault plan fail_first=%d: %s", st.FailFirst, sr.Detail)
 	case "heal":

@@ -105,8 +105,7 @@ func TestImportedFindingDrivesPattern(t *testing.T) {
 		t.Error("metadata lost")
 	}
 	// The instantiated requirement registers like any catalogue entry.
-	cat := core.NewCatalog()
-	cat.MustRegister(req)
+	cat := core.MustCatalog(req)
 	if cat.Run(core.CheckOnly).Compliance() != 1 {
 		t.Error("catalogue run failed")
 	}

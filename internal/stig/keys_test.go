@@ -52,8 +52,7 @@ func TestPatternReadsCoverMutatorKeys(t *testing.T) {
 	l := host.NewLinux()
 	w := host.NewWindows10()
 	for _, c := range patternCases(l, w) {
-		cat := core.NewCatalog()
-		cat.MustRegister(c.req)
+		cat := core.MustCatalog(c.req)
 		rec := host.NewReadRecorder()
 		c.rec.SetRecorder(rec)
 		cat.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 1})
@@ -119,9 +118,10 @@ func TestCatalogueReadsMatchDeclarations(t *testing.T) {
 // not part of a shipped catalogue, so the oracle covers the whole
 // pattern surface.
 func patternCatalog(l *host.Linux, w *host.Windows) *core.Catalog {
-	cat := core.NewCatalog()
-	cat.MustRegister(&stig.UbuntuServicePattern{Finding: core.Finding{ID: "T-svc", Sev: "medium", Desc: "auditd must run"}, Host: l, ServiceName: "auditd", MustBeActive: true})
-	cat.MustRegister(&stig.RegistryRequirement{Finding: core.Finding{ID: "T-reg", Sev: "medium", Desc: "policy value"}, Host: w, Key: `HKLM\X`, Want: "1"})
+	cat := core.MustCatalog(
+		&stig.UbuntuServicePattern{Finding: core.Finding{ID: "T-svc", Sev: "medium", Desc: "auditd must run"}, Host: l, ServiceName: "auditd", MustBeActive: true},
+		&stig.RegistryRequirement{Finding: core.Finding{ID: "T-reg", Sev: "medium", Desc: "policy value"}, Host: w, Key: `HKLM\X`, Want: "1"},
+	)
 	return cat
 }
 

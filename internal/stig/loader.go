@@ -134,21 +134,19 @@ func (e CatalogEntry) Instantiate(hosts Hosts) (core.CheckableEnforceableRequire
 }
 
 // LoadCatalog reads a JSON catalogue file (an array of entries) and
-// registers every instantiated requirement.
+// catalogues every instantiated requirement.
 func LoadCatalog(r io.Reader, hosts Hosts) (*core.Catalog, error) {
 	var entries []CatalogEntry
 	if err := json.NewDecoder(r).Decode(&entries); err != nil {
 		return nil, fmt.Errorf("stig: catalogue json: %w", err)
 	}
-	cat := core.NewCatalog()
-	for _, e := range entries {
+	reqs := make([]core.CheckableEnforceableRequirement, len(entries))
+	for i, e := range entries {
 		req, err := e.Instantiate(hosts)
 		if err != nil {
 			return nil, err
 		}
-		if err := cat.Register(req); err != nil {
-			return nil, err
-		}
+		reqs[i] = req
 	}
-	return cat, nil
+	return core.NewCatalog(reqs...)
 }

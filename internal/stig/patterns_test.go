@@ -90,13 +90,14 @@ func TestRegistryRequirementNilHost(t *testing.T) {
 func TestExtensionPatternsRegisterInCatalog(t *testing.T) {
 	h := host.NewLinux()
 	w := host.NewWindows10()
-	cat := core.NewCatalog()
-	cat.MustRegister(&UbuntuServicePattern{
-		Finding: core.Finding{ID: "EXT-SVC-3"}, Host: h, ServiceName: "rlogin",
-	})
-	cat.MustRegister(&RegistryRequirement{
-		Finding: core.Finding{ID: "EXT-REG-2"}, Host: w, Key: `HKLM\X`, Want: "1",
-	})
+	cat := core.MustCatalog(
+		&UbuntuServicePattern{
+			Finding: core.Finding{ID: "EXT-SVC-3"}, Host: h, ServiceName: "rlogin",
+		},
+		&RegistryRequirement{
+			Finding: core.Finding{ID: "EXT-REG-2"}, Host: w, Key: `HKLM\X`, Want: "1",
+		},
+	)
 	rep := cat.Run(core.CheckAndEnforce)
 	if rep.Compliance() != 1 {
 		t.Errorf("extension patterns should enforce cleanly:\n%s", rep)

@@ -272,17 +272,17 @@ func NewV219343(h *host.Linux) *UbuntuPackagePattern {
 	}
 }
 
-// UbuntuCatalog registers every implemented Ubuntu 18.04 finding against
+// UbuntuCatalog catalogues every implemented Ubuntu 18.04 finding against
 // the host, mirroring the rqcode.stigs.ubuntu.Main instantiation example.
 func UbuntuCatalog(h *host.Linux) *core.Catalog {
-	c := core.NewCatalog()
-	c.MustRegister(NewV219157(h))
-	c.MustRegister(NewV219158(h))
-	c.MustRegister(NewV219161(h))
-	c.MustRegister(NewV219177(h))
-	c.MustRegister(NewV219304(h))
-	c.MustRegister(NewV219318(h))
-	c.MustRegister(NewV219319(h))
-	c.MustRegister(NewV219343(h))
-	return c
+	return core.MustCatalog(
+		NewV219157(h),
+		NewV219158(h),
+		NewV219161(h),
+		NewV219177(h),
+		NewV219304(h),
+		NewV219318(h),
+		NewV219319(h),
+		NewV219343(h),
+	)
 }

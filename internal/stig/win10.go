@@ -231,13 +231,9 @@ func (g Windows10SecurityTechnicalImplementationGuide) AllSTIGs() []core.Checkab
 	}
 }
 
-// Catalog registers the findings in a core.Catalog.
+// Catalog collects the findings in a core.Catalog.
 func (g Windows10SecurityTechnicalImplementationGuide) Catalog() *core.Catalog {
-	c := core.NewCatalog()
-	for _, r := range g.AllSTIGs() {
-		c.MustRegister(r)
-	}
-	return c
+	return core.MustCatalog(g.AllSTIGs()...)
 }
 
 // Win10Catalog is shorthand for the guide catalogue over a host.

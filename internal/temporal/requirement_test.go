@@ -43,8 +43,7 @@ func TestTemporalRequirementInCatalog(t *testing.T) {
 	opt, clk := simOpts(10, 10)
 	mon := NewGlobalUniversality(BoolProbe("p", func() bool { return clk.Now() < 50 }), opt)
 	req := NewRequirement(core.Finding{ID: "TMP-3"}, mon)
-	cat := core.NewCatalog()
-	cat.MustRegister(req)
+	cat := core.MustCatalog(req)
 	rep := cat.Run(core.CheckOnly)
 	if _, fail, _ := rep.Counts(); fail != 1 {
 		t.Errorf("violating temporal requirement must FAIL in catalogue runs:\n%s", rep)

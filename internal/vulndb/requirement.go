@@ -59,7 +59,7 @@ func (r *PatchRequirement) Check() core.CheckStatus {
 }
 
 // CheckStateKeys declares the single package slot Check reads, making
-// patch requirements localizable in fleet.DepIndex: a push-mode fleet
+// patch requirements localizable in core.Plan: a push-mode fleet
 // re-evaluates the advisory only when its package changes. (Found by
 // the keyreads analyzer: before PR 10 this type was unindexed and every
 // host event conservatively re-ran the whole advisory catalogue.)
@@ -97,14 +97,14 @@ var _ core.CheckableEnforceableRequirement = (*PatchRequirement)(nil)
 var _ core.KeyReader = (*PatchRequirement)(nil)
 
 // Catalog generates one requirement per advisory matching the host and
-// registers them in an RQCODE catalogue, ready for the same audit/enforce
+// collects them in an RQCODE catalogue, ready for the same audit/enforce
 // runner the STIG findings use.
 func Catalog(db *DB, h *host.Linux) *core.Catalog {
-	cat := core.NewCatalog()
+	var reqs []core.CheckableEnforceableRequirement
 	for _, m := range db.Scan(h) {
-		cat.MustRegister(NewPatchRequirement(h, m.Advisory))
+		reqs = append(reqs, NewPatchRequirement(h, m.Advisory))
 	}
-	return cat
+	return core.MustCatalog(reqs...)
 }
 
 // GenerateFeed produces a synthetic advisory feed over the given package

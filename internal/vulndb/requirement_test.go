@@ -23,15 +23,16 @@ func TestPatchRequirementDeclaredReads(t *testing.T) {
 	absent := vulndb.Advisory{ID: "CVE-2026-0002", Package: "telnetd", FixedIn: "2.0",
 		Vector: "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", Summary: "synthetic"}
 
-	cat := core.NewCatalog()
+	var reqs []core.CheckableEnforceableRequirement
 	for _, a := range []vulndb.Advisory{vulnerable, absent} {
 		req := vulndb.NewPatchRequirement(h, a)
 		keys, ok := core.CheckKeys(req)
 		if !ok || len(keys) != 1 || keys[0] != host.PackageKey(a.Package).String() {
 			t.Fatalf("%s: CheckKeys = (%v, %v), want [%s]", a.ID, keys, ok, host.PackageKey(a.Package))
 		}
-		cat.MustRegister(req)
+		reqs = append(reqs, req)
 	}
+	cat := core.MustCatalog(reqs...)
 
 	// The installed advisory reads pkg:openssl twice (Installed +
 	// Version); the absent one short-circuits after pkg:telnetd. Either
