@@ -133,12 +133,14 @@ smoke-serve:
 
 # smoke-scenario replays the timed incident-scenario corpus in both
 # evaluation modes — every scenario must pass its assertions and the
-# sweep/push final verdicts must agree — then fuzzes 25 random
-# mutation-grammar walks (pinned seed) through the same cross-mode
-# equivalence oracle.
+# sweep/push final verdicts must agree — then fuzzes random
+# mutation-grammar walks through the same cross-mode equivalence oracle:
+# 25 at seed 1, and the 400-walk seed-7 run the ROADMAP cites as the
+# sweep-vs-push oracle (about a second on 2 vCPU).
 smoke-scenario:
 	$(GO) run ./cmd/vdo-scenario -run examples/scenarios -both
 	$(GO) run ./cmd/vdo-scenario -fuzz 25 -seed 1
+	$(GO) run ./cmd/vdo-scenario -fuzz 400 -seed 7
 
 # smoke-trace is the tracing-overhead regression gate: the telemetry
 # overhead matrix (best of 5 per cell) must keep the 4-shard spans

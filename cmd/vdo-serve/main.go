@@ -6,7 +6,8 @@
 // dependency index maps to them — and every -sweep-fallback a full
 // incremental sweep runs as the safety net for state the index cannot
 // localise (all cache replays when the index is healthy). Violation
-// episodes print as ALARM/REPAIR lines as they open and close.
+// episodes print as ALARM/REPAIR lines as they open and close, whether a
+// flush or a fallback sweep re-audit saw them.
 //
 // Unlike vdo-load, which replays on a virtual clock for reproducible
 // latency measurement, vdo-serve runs on the real clock: it is the
@@ -199,18 +200,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	flush := func(elapsed time.Duration) {
-		fr := s.Flush(elapsed)
-		sum.add(fr)
+	// episodes prints the episodes one flush or sweep opened and closed,
+	// stamped at elapsed: flush alarms carry the flush's instant, sweep
+	// alarms none.
+	episodes := func(elapsed time.Duration, alarms []fleet.Alarm, repairs int) {
 		if *quiet {
 			return
 		}
-		for _, a := range fr.Alarms {
-			fmt.Fprintf(stdout, "ALARM  t=%-8v %s %s %v\n", a.At.Round(time.Millisecond), a.Host, a.Finding, a.Status)
+		at := elapsed.Round(time.Millisecond)
+		for _, a := range alarms {
+			fmt.Fprintf(stdout, "ALARM  t=%-8v %s %s %v\n", at, a.Host, a.Finding, a.Status)
 		}
-		if fr.Repairs > 0 {
-			fmt.Fprintf(stdout, "REPAIR t=%-8v %d episode(s) closed\n", fr.At.Round(time.Millisecond), fr.Repairs)
+		if repairs > 0 {
+			fmt.Fprintf(stdout, "REPAIR t=%-8v %d episode(s) closed\n", at, repairs)
 		}
+	}
+	flush := func(elapsed time.Duration) {
+		fr := s.Flush(elapsed)
+		sum.add(fr)
+		episodes(elapsed, fr.Alarms, fr.Repairs)
 	}
 
 	for done := false; !done; {
@@ -222,10 +230,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			admit(elapsed)
 			flush(elapsed)
 		case <-fallbackC:
-			_, st := coord.Sweep(f.Targets(), sweepOpts)
+			rep, st := coord.Sweep(f.Targets(), sweepOpts)
 			sweeps++
 			replays += st.CachedHosts
 			reaudits += st.Hosts - st.CachedHosts
+			sum.alarms += len(rep.Alarms)
+			sum.repairs += rep.Repairs
+			episodes(time.Since(start), rep.Alarms, rep.Repairs)
 			if !*quiet {
 				p, fl, inc := s.Counts()
 				fmt.Fprintf(stdout, "status t=%-8v hosts=%d compliance=%.4f (%d/%d/%d) cached=%d/%d\n",
@@ -257,7 +268,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // flushSums is the session's running sum of the FlushResults it has
-// seen.
+// seen; alarms and repairs also count the fallback sweeps' episodes.
 type flushSums struct {
 	flushes, deltas, events, fullAudits, evaluated, executed, alarms, repairs int
 }

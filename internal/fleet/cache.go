@@ -11,10 +11,10 @@ import (
 )
 
 // Persistent incremental cache: SaveCache serialises the coordinator's
-// per-host reports (and observed cost table) to JSON, LoadCache restores
-// them, so a restarted coordinator resumes incremental sweeps — and LPT
-// scheduling estimates — where the previous process stopped instead of
-// re-auditing the whole fleet cold.
+// ledger (the replayable reports and the observed costs) to JSON,
+// LoadCache restores it, so a restarted coordinator resumes incremental
+// sweeps — and LPT scheduling estimates — where the previous process
+// stopped instead of re-auditing the whole fleet cold.
 
 // cacheSchema versions the on-disk layout. LoadCache refuses any other
 // value: an old or future file degrades to a cold start, never to a
@@ -41,18 +41,15 @@ type cacheFileHost struct {
 // path, overwriting any previous file.
 func (c *Coordinator) SaveCache(path string) error {
 	c.mu.Lock()
-	f := cacheFile{Schema: cacheSchema, Hosts: make(map[string]cacheFileHost, len(c.cache))}
-	for name, e := range c.cache {
-		f.Hosts[name] = cacheFileHost{
-			Version: e.version,
-			CostNS:  int64(c.costs[name]),
-			Report:  e.report,
-		}
-	}
-	// Cost-only hosts (audited but unversioned) keep their LPT estimate.
-	for name, cost := range c.costs {
-		if _, ok := f.Hosts[name]; !ok {
-			f.Hosts[name] = cacheFileHost{CostNS: int64(cost)}
+	f := cacheFile{Schema: cacheSchema, Hosts: make(map[string]cacheFileHost, len(c.ledger))}
+	for name, e := range c.ledger {
+		switch {
+		case e.valid:
+			f.Hosts[name] = cacheFileHost{Version: e.version, CostNS: int64(e.cost), Report: e.report}
+		case e.cost > 0:
+			// Unreplayable hosts (unversioned or invalidated) keep their
+			// LPT estimate as a cost-only record.
+			f.Hosts[name] = cacheFileHost{CostNS: int64(e.cost)}
 		}
 	}
 	c.mu.Unlock()
@@ -63,15 +60,16 @@ func (c *Coordinator) SaveCache(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadCache replaces the coordinator's cache and cost table with the
-// contents of path. On any failure — unreadable file, corrupt JSON, a
-// schema version this build does not write — the coordinator is left
-// with an empty cache (a cold start, exactly as if the file were absent)
-// and the error is returned for logging.
+// LoadCache replaces the coordinator's ledger with the contents of path;
+// the restored reports are its verdicts, counted but raising no alarms.
+// On any failure — unreadable file, corrupt JSON, a schema version this
+// build does not write — the coordinator is left with an empty ledger (a
+// cold start, exactly as if the file were absent) and the error is
+// returned for logging.
 func (c *Coordinator) LoadCache(path string) error {
 	c.mu.Lock()
-	c.cache = make(map[string]cacheEntry)
-	c.costs = make(map[string]time.Duration)
+	c.ledger = make(map[string]ledgerEntry)
+	c.pass, c.fail, c.incomplete = 0, 0, 0
 	c.mu.Unlock()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -88,11 +86,15 @@ func (c *Coordinator) LoadCache(path string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for name, h := range f.Hosts {
+		e := ledgerEntry{cost: time.Duration(h.CostNS)}
 		if len(h.Report.Results) > 0 || h.Version > 0 {
-			c.cache[name] = cacheEntry{version: h.Version, report: h.Report}
+			e.version, e.valid, e.report = h.Version, true, h.Report
+			for _, r := range h.Report.Results {
+				c.count(r.After, +1)
+			}
 		}
-		if h.CostNS > 0 {
-			c.costs[name] = time.Duration(h.CostNS)
+		if e.valid || e.cost > 0 {
+			c.ledger[name] = e
 		}
 	}
 	return nil

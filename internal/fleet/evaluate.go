@@ -1,33 +1,31 @@
 package fleet
 
 import (
-	"sort"
-	"time"
-
 	"veridevops/internal/core"
 	"veridevops/internal/telemetry"
 )
 
 // evaluate is the one per-host evaluation step behind Sweep and
-// Streamer.Flush. only selects how much of t's catalogue runs:
+// Streamer.Flush. It only reads the ledger: the caller folds the result
+// it returns, together with the host state version captured before the
+// run (a mutation racing the run advances the live version past it and
+// forces a re-audit rather than being lost). only selects how much of
+// t's catalogue runs:
 //
 //   - nil: the whole catalogue, or a replay of the cached report when
 //     opts.Incremental is set and the host's state version is unchanged;
 //   - empty: nothing — the change touched no check, so the cached report
-//     is re-stamped at the current version (a later fallback sweep then
-//     replays instead of re-auditing) and returned;
+//     is replayed, and the fold re-stamps it at the current version (a
+//     later fallback sweep then replays instead of re-auditing);
 //   - a subset: only those checks, merged into the cached report.
 //
-// A non-nil only with no cached report to build on runs the whole
-// catalogue instead. Every executed run primes the cache for versioned
-// targets at the host's pre-run version: a mutation racing the run
-// advances the live version past it and forces a re-audit rather than
-// being lost. memo, when non-nil, is the caller's shared dedup memo;
-// span, when non-nil, parents the catalogue run's check spans.
-func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options, memo *core.CheckMemo, span *telemetry.Span) HostResult {
+// A non-nil only with no valid cached report to build on runs the whole
+// catalogue instead. memo, when non-nil, is the caller's shared dedup
+// memo; span, when non-nil, parents the catalogue run's check spans.
+func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options, memo *core.CheckMemo, span *telemetry.Span) (HostResult, uint64) {
 	hr := HostResult{Target: t.Name, Shard: shard}
 	if t.Catalog == nil {
-		return hr
+		return hr, 0
 	}
 	var version uint64
 	if t.Version != nil {
@@ -44,21 +42,17 @@ func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options,
 			// Stale full-run entry: re-audit.
 		case len(only) == 0:
 			// A fresh full-run entry, or a delta that touches no check.
-			if e.version != version && t.Version != nil {
-				c.store(t.Name, version, e.report)
-			}
 			hr.FromCache = true
 			hr.Report = e.report
 			// Stats are zero on a replay, so Degraded is recomputed from
 			// the cached verdicts: a host cached while unreachable is
 			// still reported degraded by the sweeps that replay it.
 			hr.Degraded = degradedReport(e.report)
-			return hr
+			return hr, version
 		default:
 			base, merge = e.report, true
 		}
 	}
-	t0 := time.Now()
 	rep, st := t.Catalog.RunEngine(core.RunOptions{
 		Mode:    opts.Mode,
 		Workers: opts.Workers,
@@ -68,18 +62,13 @@ func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options,
 		Metrics: opts.Metrics,
 		Only:    only,
 	})
-	wall := time.Since(t0)
-	c.recordCost(t.Name, wall)
-	opts.Metrics.Observe("fleet.host_wall", wall)
+	opts.Metrics.Observe("fleet.host_wall", st.Wall)
 	if merge {
 		rep = mergeReport(base, rep)
 	}
 	hr.Report, hr.Stats = rep, st
 	hr.Degraded = degradedReport(rep)
-	if t.Version != nil {
-		c.store(t.Name, version, rep)
-	}
-	return hr
+	return hr, version
 }
 
 // degradedReport reports whether a report has the degraded shape: at
@@ -98,35 +87,23 @@ func degradedReport(rep core.Report) bool {
 }
 
 // mergeReport overlays the verdicts of a subset run onto a full base
-// report: results present in partial replace the base entry of the same
-// finding, new findings are inserted, and the merged report keeps
-// finding-ID order. Neither input is mutated.
+// report in one walk over both, which must be sorted by finding ID:
+// results present in partial replace the base entry of the same finding,
+// new findings are inserted, and the merged report keeps finding-ID
+// order. Neither input is mutated.
 func mergeReport(base, partial core.Report) core.Report {
-	if len(partial.Results) == 0 {
-		out := core.Report{Results: make([]core.Result, len(base.Results))}
-		copy(out.Results, base.Results)
-		return out
-	}
-	byID := make(map[string]core.Result, len(partial.Results))
-	for _, r := range partial.Results {
-		byID[r.FindingID] = r
-	}
-	out := core.Report{Results: make([]core.Result, 0, len(base.Results)+len(partial.Results))}
-	for _, r := range base.Results {
-		if fresh, ok := byID[r.FindingID]; ok {
-			out.Results = append(out.Results, fresh)
-			delete(byID, r.FindingID)
-			continue
+	b, p := base.Results, partial.Results
+	out := make([]core.Result, 0, len(b)+len(p))
+	for len(b) > 0 && len(p) > 0 {
+		switch {
+		case b[0].FindingID < p[0].FindingID:
+			out, b = append(out, b[0]), b[1:]
+		case b[0].FindingID > p[0].FindingID:
+			out, p = append(out, p[0]), p[1:]
+		default:
+			out, b, p = append(out, p[0]), b[1:], p[1:]
 		}
-		out.Results = append(out.Results, r)
 	}
-	if len(byID) > 0 {
-		for _, r := range byID {
-			out.Results = append(out.Results, r)
-		}
-		sort.Slice(out.Results, func(i, j int) bool {
-			return out.Results[i].FindingID < out.Results[j].FindingID
-		})
-	}
-	return out
+	out = append(append(out, b...), p...)
+	return core.Report{Results: out}
 }

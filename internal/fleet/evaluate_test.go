@@ -8,9 +8,14 @@ import (
 )
 
 // evalHost runs the coordinator's per-host evaluation step outside a
-// sweep or flush: no shared memo, no span.
+// sweep or flush — no shared memo, no span — and folds the result into
+// the ledger as they do.
 func evalHost(c *Coordinator, t Target, only []string, opts Options) HostResult {
-	return c.evaluate(t, only, 0, opts.normalized(1), nil, nil)
+	hr, version := c.evaluate(t, only, 0, opts.normalized(1), nil, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.foldLocked(t, hr, version, 0, nil)
+	return hr
 }
 
 func TestApplyDeltaSubsetMergesIntoCache(t *testing.T) {
@@ -101,7 +106,7 @@ func TestRefreshRestampsStaleVersion(t *testing.T) {
 		t.Errorf("post-re-stamp sweep re-audited; want a cache replay")
 	}
 
-	// With no cache entry to re-stamp, an empty subset runs fully.
+	// With no valid cache entry to re-stamp, an empty subset runs fully.
 	coord.Invalidate(targets[0].Name)
 	hr = evalHost(coord, targets[0], []string{}, opts)
 	if hr.FromCache || hr.Stats.Requirements != 8 {
@@ -119,8 +124,8 @@ func TestMergeReport(t *testing.T) {
 		{FindingID: "V-3", After: core.CheckPass},
 	}}
 	partial := core.Report{Results: []core.Result{
-		{FindingID: "V-3", After: core.CheckFail},
 		{FindingID: "V-2", After: core.CheckPass},
+		{FindingID: "V-3", After: core.CheckFail},
 	}}
 	got := mergeReport(base, partial)
 	want := []core.Result{
@@ -142,5 +147,27 @@ func TestMergeReport(t *testing.T) {
 	cp.Results[0].After = core.CheckError
 	if base.Results[0].After == core.CheckError {
 		t.Error("empty-partial merge aliases the base")
+	}
+
+	// Findings present only in the partial report, before and after every
+	// base finding, are inserted in order.
+	edges := core.Report{Results: []core.Result{
+		{FindingID: "V-0", After: core.CheckFail},
+		{FindingID: "V-4", After: core.CheckError},
+	}}
+	got = mergeReport(base, edges)
+	want = []core.Result{
+		{FindingID: "V-0", After: core.CheckFail},
+		{FindingID: "V-1", After: core.CheckPass},
+		{FindingID: "V-3", After: core.CheckPass},
+		{FindingID: "V-4", After: core.CheckError},
+	}
+	if !reflect.DeepEqual(got.Results, want) {
+		t.Errorf("mergeReport with partial-only findings = %+v, want %+v", got.Results, want)
+	}
+
+	// One walk into one preallocated slice.
+	if allocs := testing.AllocsPerRun(100, func() { mergeReport(base, partial) }); allocs != 1 {
+		t.Errorf("mergeReport allocates %v times, want 1", allocs)
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"veridevops/internal/core"
 	"veridevops/internal/engine"
@@ -135,6 +134,10 @@ type HostResult struct {
 // target name.
 type FleetReport struct {
 	Hosts []HostResult
+	// Alarms holds the violation episodes this sweep opened, in host
+	// name order, each with a zero At; Repairs counts the ones it closed.
+	Alarms  []Alarm
+	Repairs int
 }
 
 // Counts sums the final-status buckets over every host.
@@ -148,9 +151,12 @@ func (r FleetReport) Counts() (pass, fail, incomplete int) {
 
 // Compliance is the fraction of all requirements across the fleet whose
 // final status is PASS; an empty fleet is fully compliant.
-func (r FleetReport) Compliance() float64 {
-	pass, fail, inc := r.Counts()
-	total := pass + fail + inc
+func (r FleetReport) Compliance() float64 { return compliance(r.Counts()) }
+
+// compliance is the PASS fraction of a set of verdict counts; no
+// verdicts at all is full compliance.
+func compliance(pass, fail, incomplete int) float64 {
+	total := pass + fail + incomplete
 	if total == 0 {
 		return 1
 	}
@@ -169,88 +175,23 @@ func (r FleetReport) Failing() []string {
 	return out
 }
 
-// cacheEntry is one host's memoised audit outcome.
-type cacheEntry struct {
-	// version is the host state version observed immediately before the
-	// cached run. Capturing the pre-run version is conservative: any
-	// mutation during or after the run (drift, enforcement, an outage
-	// flip) advances the live version past it and forces a re-audit.
-	version uint64
-	report  core.Report
-}
-
-// Coordinator shards fleet sweeps and carries the incremental cache
-// between them. The zero value is not usable; call NewCoordinator. A
-// Coordinator is safe for concurrent use by its own shard workers, but
-// Sweep calls themselves must not overlap.
+// Coordinator shards fleet sweeps and owns the per-host ledger (last
+// report, its state version, observed cost) plus the fleet-wide verdict
+// counts. Evaluation only reads the ledger; Sweep and Streamer.Flush
+// write it through one fold, which raises one alarm per violation
+// episode. The zero value is not usable; call NewCoordinator. Readers
+// and the coordinator's own shard workers may run concurrently, but no
+// two of Sweep and Flush on one coordinator may overlap: each evaluates
+// against entries the other is about to fold into.
 type Coordinator struct {
-	mu    sync.Mutex
-	cache map[string]cacheEntry
-	// costs is the observed per-host audit wall of the most recent
-	// executed (non-cached) run, the LPT estimate the scheduler orders
-	// queues by. Hosts never audited cost 0 (the scheduler substitutes
-	// the fleet mean).
-	costs map[string]time.Duration
+	mu                     sync.Mutex
+	ledger                 map[string]ledgerEntry
+	pass, fail, incomplete int
 }
 
-// NewCoordinator returns a coordinator with an empty cache.
+// NewCoordinator returns a coordinator with an empty ledger.
 func NewCoordinator() *Coordinator {
-	return &Coordinator{
-		cache: make(map[string]cacheEntry),
-		costs: make(map[string]time.Duration),
-	}
-}
-
-// Invalidate forgets one host: its cached report goes, forcing its next
-// incremental audit to run fully, and so does its observed cost, so
-// join/leave churn cannot grow the cost table or the saved cache.
-func (c *Coordinator) Invalidate(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.cache, name)
-	delete(c.costs, name)
-}
-
-// CachedHosts reports how many hosts currently have a cached report.
-func (c *Coordinator) CachedHosts() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.cache)
-}
-
-func (c *Coordinator) lookup(name string) (cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.cache[name]
-	return e, ok
-}
-
-func (c *Coordinator) store(name string, version uint64, rep core.Report) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cache[name] = cacheEntry{version: version, report: rep}
-}
-
-// snapshotCosts returns the observed audit cost of each target, indexed
-// like ts; 0 for hosts never executed.
-func (c *Coordinator) snapshotCosts(ts []Target) []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]time.Duration, len(ts))
-	for i, t := range ts {
-		out[i] = c.costs[t.Name]
-	}
-	return out
-}
-
-// recordCost remembers an executed host's audit wall for future LPT
-// ordering.
-func (c *Coordinator) recordCost(name string, wall time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if wall > 0 {
-		c.costs[name] = wall
-	}
+	return &Coordinator{ledger: make(map[string]ledgerEntry)}
 }
 
 // Affinity returns the shard a host name is pinned to under the given
@@ -271,7 +212,8 @@ func Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 	return NewCoordinator().Sweep(targets, opts)
 }
 
-// Sweep audits every target and returns the merged report and telemetry.
+// Sweep audits every target, folds the results into the ledger and
+// returns the merged report and telemetry.
 // Shard goroutines pull hosts from the work-stealing scheduler (see the
 // package comment; ScheduleStatic restores pure affinity buckets), and
 // within a shard each host's catalogue runs on its own engine.Map pool of
@@ -315,6 +257,7 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 	// are touched only by shard's own goroutine: engine.Pull calls next
 	// and then run for the drawn host on it.
 	results := make([]HostResult, len(ts))
+	versions := make([]uint64, len(ts))
 	stolen := make([]bool, opts.Shards)
 	shardWalls, ps := engine.Pull(opts.Shards, func(shard int) (int, bool) {
 		i, st, ok := sched.next(shard)
@@ -338,7 +281,7 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 			hs = shardSpans[shard].ChildTrace("host").
 				Tag("host", ts[i].Name).TagBool("stolen", stolen[shard])
 		}
-		hr := c.evaluate(ts[i], nil, shard, opts, memo, hs)
+		hr, version := c.evaluate(ts[i], nil, shard, opts, memo, hs)
 		hr.Stolen = stolen[shard]
 		if hs != nil {
 			hs.TagBool("cached", hr.FromCache)
@@ -347,10 +290,19 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 			}
 			hs.End()
 		}
-		results[i] = hr
+		results[i], versions[i] = hr, version
 	})
 
+	// Fold in name order once the pool has drained, so alarms are
+	// deterministic whatever the shard interleaving.
 	rep := FleetReport{Hosts: results}
+	c.mu.Lock()
+	for i, hr := range results {
+		var repairs int
+		rep.Alarms, repairs = c.foldLocked(ts[i], hr, versions[i], 0, rep.Alarms)
+		rep.Repairs += repairs
+	}
+	c.mu.Unlock()
 	st := aggregate(results, shardWalls, ps, opts)
 	countLocalization(&st, ts)
 	sched.apply(&st)

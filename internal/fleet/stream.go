@@ -17,10 +17,10 @@ import (
 // read policy) to the affected checks, and re-runs only those —
 // through the coordinator's per-host evaluation step, with the same
 // engine retry/fault tolerance, dedup memo and incremental cache the
-// batch sweeps use. Between flushes it maintains a live View (per-host,
-// per-finding verdicts) that raises one alarm per violation episode; the
-// View is keyed by host name, so re-Watching a host continues its
-// episodes and only Unwatch forgets them.
+// batch sweeps use. Each flush folds its results into the coordinator's
+// ledger, the live per-host verdicts that raise one alarm per violation
+// episode; the ledger is keyed by host name, so re-Watching a host
+// continues its episodes and only Unwatch forgets them.
 //
 // The coalescing window is the caller's flush cadence: event
 // notifications only mark hosts dirty (cheap, lock-one-map cheap), and
@@ -28,7 +28,8 @@ import (
 // vdo-serve daemon ticks Flush on a real clock, the loadgen driver on
 // the virtual one, tests whenever they like. Watch, Unwatch and the
 // read accessors are safe for concurrent use; Flush calls must not
-// overlap each other (same contract as Coordinator.Sweep).
+// overlap each other or a Sweep on the same coordinator (see
+// Coordinator).
 type Streamer struct {
 	coord *Coordinator
 	opts  StreamOptions
@@ -36,7 +37,6 @@ type Streamer struct {
 	mu    sync.Mutex
 	hosts map[string]*streamHost
 	dirty map[string]bool
-	view  View
 }
 
 // StreamOptions configures a Streamer's evaluations.
@@ -97,16 +97,6 @@ type streamHost struct {
 	primed bool
 }
 
-// Alarm is one violation-episode opening observed by a flush: a finding
-// on a host moved from PASS (or unknown) to the recorded non-PASS
-// status.
-type Alarm struct {
-	At      time.Duration
-	Host    string
-	Finding string
-	Status  core.CheckStatus
-}
-
 // DeltaResult is one host's evaluation within a flush.
 type DeltaResult struct {
 	Host string
@@ -161,7 +151,7 @@ func NewStreamer(coord *Coordinator, opts StreamOptions) *Streamer {
 // and unprimed: its first flush runs the full catalogue to establish the
 // verdict baseline, and every subsequent flush deltas from the event
 // tail. Re-watching a name replaces the previous registration but keeps
-// the host's verdicts and open episodes in the live view: the new
+// the host's verdicts and open episodes in the ledger: the new
 // registration's full run folds over them, so an episode still open
 // raises no second alarm.
 func (s *Streamer) Watch(t Target, log *host.EventLog) {
@@ -184,24 +174,22 @@ func (s *Streamer) Watch(t Target, log *host.EventLog) {
 	s.dirty[t.Name] = true
 }
 
-// Unwatch removes a target: its subscription is cancelled, its verdicts
-// leave the live view, and its cache entry is dropped (the host is gone;
-// a returning host of the same name must re-audit, not replay).
+// Unwatch removes a target: its subscription is cancelled and its
+// ledger entry is forgotten (Coordinator.Forget: the host is gone; a
+// returning host of the same name must re-audit, not replay).
 func (s *Streamer) Unwatch(name string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	sh := s.hosts[name]
-	if sh != nil {
-		if sh.cancel != nil {
-			sh.cancel()
-		}
-		delete(s.hosts, name)
-		delete(s.dirty, name)
-		s.view.Drop(name)
+	if sh == nil {
+		return
 	}
-	s.mu.Unlock()
-	if sh != nil {
-		s.coord.Invalidate(name)
+	if sh.cancel != nil {
+		sh.cancel()
 	}
+	delete(s.hosts, name)
+	delete(s.dirty, name)
+	s.coord.Forget(name)
 }
 
 func (s *Streamer) markDirty(name string) {
@@ -219,23 +207,16 @@ func (s *Streamer) Hosts() int {
 	return len(s.hosts)
 }
 
-// Counts returns the live fleet-wide verdict counts. Hosts never
-// evaluated contribute nothing; a re-watched host keeps its last
-// verdicts until the new registration's first flush replaces them.
-func (s *Streamer) Counts() (pass, fail, incomplete int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.view.Counts()
-}
+// Counts returns the live fleet-wide verdict counts, the coordinator's
+// (Coordinator.Counts). Hosts never evaluated contribute nothing; a
+// re-watched host keeps its last verdicts until the new registration's
+// first flush replaces them.
+func (s *Streamer) Counts() (pass, fail, incomplete int) { return s.coord.Counts() }
 
-// Compliance is the live fraction of PASS verdicts across the fleet; an
-// empty (or unprimed) view is fully compliant, matching
-// FleetReport.Compliance.
-func (s *Streamer) Compliance() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.view.Compliance()
-}
+// Compliance is the live fraction of PASS verdicts across the fleet
+// (Coordinator.Compliance); an empty (or unprimed) fleet is fully
+// compliant, matching FleetReport.Compliance.
+func (s *Streamer) Compliance() float64 { return s.coord.Compliance() }
 
 // deltaPlan is one dirty host's work for a flush, computed under no
 // locks from the host's event tail.
@@ -248,15 +229,18 @@ type deltaPlan struct {
 	// only means the delta touches no checks at all: the evaluation
 	// degrades to a cache re-stamp.
 	only []string
+	// version is the host state version the evaluation captured, for the
+	// fold.
+	version uint64
 }
 
 // Flush evaluates every host dirtied since the previous flush and folds
-// the fresh verdicts into the live view. now is the caller's timestamp
-// (virtual or real), recorded on the result and its alarms. Dirty hosts
-// are planned and folded in name order, so a given event history always
-// yields the same batches, the same verdict sequence and the same alarm
-// order regardless of goroutine interleaving; only the evaluation in
-// between is parallel.
+// the fresh verdicts into the coordinator's ledger. now is the caller's
+// timestamp (virtual or real), recorded on the result and its alarms.
+// Dirty hosts are planned and folded in name order, so a given event
+// history always yields the same batches, the same verdict sequence and
+// the same alarm order regardless of goroutine interleaving; only the
+// evaluation in between is parallel.
 func (s *Streamer) Flush(now time.Duration) FlushResult {
 	t0 := time.Now()
 	fr := FlushResult{At: now}
@@ -337,7 +321,8 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 			// rooted as its own trace for the store's slowest-trace search.
 			sp = root.ChildTrace("delta").Tag("host", p.sh.target.Name).TagBool("full", p.full)
 		}
-		hr := s.coord.evaluate(p.sh.target, p.only, i%s.opts.Shards, evalOpts, memo, sp)
+		var hr HostResult
+		hr, plans[i].version = s.coord.evaluate(p.sh.target, p.only, i%s.opts.Shards, evalOpts, memo, sp)
 		if sp != nil {
 			sp.TagInt("checks", len(p.only)).End()
 		}
@@ -345,19 +330,18 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	})
 	root.End()
 
-	// Fold: advance cursors, refresh the live view, open/close violation
+	// Fold: advance cursors, write the ledger, open/close violation
 	// episodes — in plan (name) order, so alarms and counts are
 	// deterministic.
 	s.mu.Lock()
+	s.coord.mu.Lock()
 	for i, hr := range results {
 		p := plans[i]
 		sh := p.sh
 		if s.hosts[sh.target.Name] != sh {
 			// Unwatched or re-Watched mid-flush: the result belongs to a
-			// registration that is gone. Drop it, and the cache entry the
-			// evaluation stored after Unwatch or Watch ran; a replacement
-			// registration's full run re-primes the cache.
-			s.coord.Invalidate(sh.target.Name)
+			// registration that is gone, so it is not folded. A
+			// replacement registration's full run re-primes the entry.
 			continue
 		}
 		sh.cursor = p.next
@@ -377,14 +361,14 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 		fr.ChecksExecuted += executed
 
 		var repairs int
-		fr.Alarms, repairs = s.view.Fold(now, hr, fr.Alarms)
+		fr.Alarms, repairs = s.coord.foldLocked(sh.target, hr, p.version, now, fr.Alarms)
 		fr.Repairs += repairs
 	}
 	fr.Wall = time.Since(t0)
-	compliance := s.view.Compliance()
+	s.coord.mu.Unlock()
 	s.mu.Unlock()
 
-	recordFlushMetrics(s.opts.Metrics, fr, compliance)
+	recordFlushMetrics(s.opts.Metrics, fr, s.coord.Compliance())
 	return fr
 }
 

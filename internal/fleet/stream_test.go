@@ -476,10 +476,10 @@ func TestCoordinatorForgetsDepartedHosts(t *testing.T) {
 	}
 
 	coord.mu.Lock()
-	costs := len(coord.costs)
+	entries := len(coord.ledger)
 	coord.mu.Unlock()
-	if costs != 1 {
-		t.Errorf("cost table holds %d hosts after %d join/leave cycles, want 1", costs, cycles)
+	if entries != 1 {
+		t.Errorf("ledger holds %d hosts after %d join/leave cycles, want 1", entries, cycles)
 	}
 	path := filepath.Join(t.TempDir(), "cache.json")
 	if err := coord.SaveCache(path); err != nil {

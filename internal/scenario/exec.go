@@ -48,11 +48,11 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// executor is the per-run state: the fleet under mutation, the evaluator
-// (coordinator or streamer), and the executor-owned live view. Both modes
-// fold the full per-host reports their evaluator returns into that one
-// fleet.View, so verdicts and alarm/repair episodes are counted the same
-// way whichever evaluator produced them.
+// executor is the per-run state: the fleet under mutation and the
+// evaluator (coordinator or streamer). Both modes fold into the one
+// coordinator ledger — sweeps directly, flushes through the streamer —
+// so verdicts and alarm/repair episodes are counted the same way
+// whichever evaluator produced them.
 type executor struct {
 	spec Spec
 	opts Options
@@ -63,13 +63,8 @@ type executor struct {
 	str   *fleet.Streamer
 	churn *loadgen.Churn
 
-	view    fleet.View
 	alarms  int
 	repairs int
-	// opened/closed count the episodes the current tick moved, for the
-	// alarm/repair pulse signals; buf is Fold's reused alarm slice.
-	opened, closed int
-	buf            []fleet.Alarm
 
 	tr  *trace.Trace
 	res *Result
@@ -159,7 +154,7 @@ func Run(sp Spec, opts Options) (*Result, error) {
 
 	ex.res.Ticks = len(ex.res.Schedule) - len(ex.res.Steps)
 	ex.res.Alarms, ex.res.Repairs = ex.alarms, ex.repairs
-	ex.res.FinalCompliance = ex.view.Compliance()
+	ex.res.FinalCompliance = ex.coord.Compliance()
 	ex.res.FinalState = ex.finalState()
 	ex.res.Trace = ex.tr
 	sort.Slice(ex.res.Steps, func(a, b int) bool { return ex.res.Steps[a].Index < ex.res.Steps[b].Index })
@@ -189,15 +184,14 @@ func stepGAs(st Step) ([]tears.GA, error) {
 	return gas, nil
 }
 
-// tick runs one evaluation pass at virtual instant now, folds the fresh
-// reports into the live view and samples the compliance signals.
+// tick runs one evaluation pass at virtual instant now, counts the
+// violation episodes its fold opened and closed, and samples the
+// compliance signals.
 func (ex *executor) tick(now time.Duration) {
-	ex.opened, ex.closed = 0, 0
+	var opened, closed int
 	if ex.str != nil {
 		fr := ex.str.Flush(now)
-		for _, d := range fr.Hosts {
-			ex.fold(now, d.Result)
-		}
+		opened, closed = len(fr.Alarms), fr.Repairs
 	} else {
 		rep, _ := ex.coord.Sweep(ex.fleet.Targets(), fleet.Options{
 			Mode:        core.CheckOnly,
@@ -207,34 +201,23 @@ func (ex *executor) tick(now time.Duration) {
 			Dedup:       true,
 			Trace:       ex.opts.Trace,
 		})
-		for _, hr := range rep.Hosts {
-			ex.fold(now, hr)
-		}
+		opened, closed = len(rep.Alarms), rep.Repairs
 	}
+	ex.alarms += opened
+	ex.repairs += closed
 
 	t := ms(now)
-	comp := ex.view.Compliance()
-	_, failing, incomplete := ex.view.Counts()
+	comp := ex.coord.Compliance()
+	_, failing, incomplete := ex.coord.Counts()
 	ex.tr.SetNum("compliance", t, comp)
 	ex.tr.SetNum("failing", t, float64(failing))
 	ex.tr.SetNum("incomplete", t, float64(incomplete))
 	ex.tr.SetNum("alarms", t, float64(ex.alarms))
 	ex.tr.SetNum("repairs", t, float64(ex.repairs))
-	ex.tr.SetBool("alarm", t, ex.opened > 0)
-	ex.tr.SetBool("repair", t, ex.closed > 0)
+	ex.tr.SetBool("alarm", t, opened > 0)
+	ex.tr.SetBool("repair", t, closed > 0)
 	ex.log("t=%v tick compliance=%.4f failing=%d incomplete=%d alarms=%d repairs=%d",
 		now, comp, failing, incomplete, ex.alarms, ex.repairs)
-}
-
-// fold merges one host result into the live view and counts the
-// violation episodes it opened (alarms) and closed (repairs).
-func (ex *executor) fold(now time.Duration, hr fleet.HostResult) {
-	var repairs int
-	ex.buf, repairs = ex.view.Fold(now, hr, ex.buf[:0])
-	ex.alarms += len(ex.buf)
-	ex.opened += len(ex.buf)
-	ex.repairs += repairs
-	ex.closed += repairs
 }
 
 // verifyReads runs the dynamic declared-reads oracle over the fleet's
@@ -264,11 +247,11 @@ func (ex *executor) verifyReads() {
 		len(ex.res.ReadViolations), fatal, len(hosts))
 }
 
-// finalState renders the live view as sorted "host finding status"
-// lines — the cross-mode equivalence surface the fuzzer oracles on.
+// finalState renders the ledger as sorted "host finding status" lines —
+// the cross-mode equivalence surface the fuzzer oracles on.
 func (ex *executor) finalState() []string {
 	var out []string
-	ex.view.Each(func(name, id string, st core.CheckStatus) {
+	ex.coord.Each(func(name, id string, st core.CheckStatus) {
 		out = append(out, fmt.Sprintf("%s %s %s", name, id, st))
 	})
 	sort.Strings(out)
@@ -454,10 +437,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 			}
 			name := h.Name
 			ex.fleet.Leave(name)
-			if ex.str != nil {
-				ex.str.Unwatch(name)
-			}
-			ex.view.Drop(name)
+			ex.forget(name)
 			names = append(names, name)
 		}
 		sr.Skipped = len(names) == 0
@@ -498,10 +478,7 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 					}
 				}
 			case loadgen.HostLeave:
-				if ex.str != nil {
-					ex.str.Unwatch(ev.Host)
-				}
-				ex.view.Drop(ev.Host)
+				ex.forget(ev.Host)
 			}
 		}
 		sr.Target = "fleet"
@@ -532,11 +509,21 @@ func (ex *executor) mutate(sr *StepResult, st Step, stepIndex int) {
 	}
 }
 
+// forget drops a departed host from the ledger: through Unwatch in push
+// mode, directly in sweep mode.
+func (ex *executor) forget(name string) {
+	if ex.str != nil {
+		ex.str.Unwatch(name)
+	} else {
+		ex.coord.Forget(name)
+	}
+}
+
 // withCatalog swaps each selected host's catalogue and forces its next
 // evaluation: the swap does not advance the host's event-log version, so
-// the incremental cache entry is dropped and (in push mode) the host is
-// re-watched — an unprimed watch runs the full catalogue on the next
-// flush.
+// the ledger entry is invalidated (its verdicts and open episodes stay)
+// and (in push mode) the host is re-watched — an unprimed watch runs the
+// full catalogue on the next flush.
 func (ex *executor) withCatalog(sr *StepResult, st Step, build func(h *loadgen.Host, seed int64) *core.Catalog, stepIndex int) {
 	sel := ex.resolve(st.On)
 	if len(sel) == 0 {
@@ -596,7 +583,7 @@ func (ex *executor) pipelineStep(sr *StepResult, st Step, stepIndex int) {
 	sr.Skipped = shipped > 0 && landed == 0 && len(sel) == 0
 }
 
-// assert executes an immediate expect-step against the live view.
+// assert executes an immediate expect-step against the ledger.
 func (ex *executor) assert(sr *StepResult, st Step) {
 	switch st.Expect {
 	case "verdict":
@@ -609,7 +596,7 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 		want := parseStatus(st.Status)
 		var bad []string
 		for _, h := range sel {
-			got, ok := ex.view.Status(h.Name, st.Finding)
+			got, ok := ex.coord.Status(h.Name, st.Finding)
 			if !ok {
 				bad = append(bad, fmt.Sprintf("%s: no verdict for %s yet", h.Name, st.Finding))
 			} else if got != want {
@@ -623,7 +610,7 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 			sr.Detail = strings.Join(bad, "; ")
 		}
 	case "compliance":
-		got := ex.view.Compliance()
+		got := ex.coord.Compliance()
 		sr.OK = cmp(got, st.Op, st.Num)
 		sr.Detail = fmt.Sprintf("compliance %.4f %s %v", got, st.Op, st.Num)
 	case "alarms":
@@ -644,7 +631,7 @@ func (ex *executor) assert(sr *StepResult, st Step) {
 		want := st.Value != "false"
 		var bad []string
 		for _, h := range sel {
-			if got := ex.view.Degraded(h.Name); got != want {
+			if got := ex.coord.Degraded(h.Name); got != want {
 				bad = append(bad, fmt.Sprintf("%s: degraded=%v, want %v", h.Name, got, want))
 			}
 		}
