@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint verify-reads sarif build test race perfbench-test fleet-race trace-race bench bench-engine bench-fleet bench-steal bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
+.PHONY: check fmt vet lint verify-reads sarif build test race perfbench-test fleet-race trace-race bench bench-engine bench-fleet bench-sched bench-telemetry bench-trace bench-load bench-serve smoke-load smoke-serve smoke-trace smoke-scenario tables
 
 # check is the CI gate: gofmt, vet, the repository's own analyzers, build
 # everything, then the full test suite under the race detector (the
@@ -89,9 +89,9 @@ bench-trace:
 bench-engine:
 	$(GO) test -run=^$$ -bench=BenchmarkAttempt -benchmem ./internal/engine/
 
-# bench-steal runs the scheduler-focused pair: skewed-fleet static vs
-# work-stealing, and dedup off vs on.
-bench-steal:
+# bench-sched runs the sweep-order pair on the skewed fleet (cold sweep in
+# name order vs warm sweep in observed-cost order), and dedup off vs on.
+bench-sched:
 	$(GO) test -run=^$$ -bench='BenchmarkFleetSkewedSweep|BenchmarkFleetDedupSweep' -benchmem ./internal/fleet/
 
 # bench runs the experiment benchmarks once each (correctness smoke, not a

@@ -1,8 +1,7 @@
 // Command fleetaudit audits a simulated fleet of hardened Ubuntu hosts
-// through the work-stealing fleet coordinator: N hosts' STIG catalogues
-// are pulled off affinity-seeded shard queues (idle shards steal from
-// loaded ones; -sched static restores pure affinity bucketing), each
-// shard running its hosts' checks on an engine worker pool. Drifted,
+// through the fleet coordinator: -shards pool workers take N hosts' STIG
+// catalogues from one queue, ordered by each host's observed audit cost,
+// and run each host's checks on an engine worker pool. Drifted,
 // faulty and unreachable hosts exercise the degradation paths; the
 // incremental mode demonstrates the version-keyed audit cache, -dedup
 // the cross-host check memo, and -cache-file persists the incremental
@@ -23,7 +22,7 @@
 //
 //	fleetaudit [-hosts N] [-shards N] [-workers N] [-drift N] [-down N]
 //	           [-faults] [-retries N] [-timeout D] [-seed N]
-//	           [-incremental] [-enforce] [-sched steal|static] [-dedup]
+//	           [-incremental] [-enforce] [-dedup]
 //	           [-cache-file PATH] [-telemetry] [-trace PATH] [-metrics]
 //	           [-trace-query EXPR] [-vclock] [-trace-capacity N]
 //	           [-trace-keep-ok N] [-trace-head N]
@@ -37,6 +36,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -46,6 +46,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"veridevops/internal/bench"
 	"veridevops/internal/core"
 	"veridevops/internal/engine"
 	"veridevops/internal/fleet"
@@ -63,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetaudit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	hosts := fs.Int("hosts", 16, "fleet size")
-	shards := fs.Int("shards", 4, "shard goroutines (host-level parallelism)")
+	shards := fs.Int("shards", 4, "pool workers taking hosts from the sweep queue (host-level parallelism)")
 	workers := fs.Int("workers", 4, "engine workers per catalogue run inside a shard")
 	drift := fs.Int("drift", 4, "hosts drifted from the hardened baseline (3 mutations each)")
 	down := fs.Int("down", 0, "hosts marked unreachable (degrade to ERROR verdicts)")
@@ -73,10 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "seed for drift and fault injection")
 	incremental := fs.Bool("incremental", false, "after the full sweep, drift one host and re-sweep incrementally")
 	enforce := fs.Bool("enforce", false, "remediate failing requirements (CheckAndEnforce)")
-	sched := fs.String("sched", "steal", "host scheduling: steal (work-stealing, default) or static (pure affinity)")
 	dedup := fs.Bool("dedup", false, "dedup identical checks across hosts within a sweep (audit-only)")
 	cacheFile := fs.String("cache-file", "", "persist the incremental cache here across invocations")
-	showTelemetry := fs.Bool("telemetry", false, "print per-shard and per-host engine telemetry")
+	showTelemetry := fs.Bool("telemetry", false, "print per-host engine telemetry")
 	tracePath := fs.String("trace", "", "write a JSONL span trace (sweep/shard/host/check/attempt) to this file")
 	showMetrics := fs.Bool("metrics", false, "collect and print the telemetry metrics registry after the run")
 	traceQuery := fs.String("trace-query", "", "keep the sweep's spans in the trace store and run this query (see internal/telemetry/store)")
@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceCap := fs.Int("trace-capacity", 0, "trace store span capacity (default 262144)")
 	traceKeepOK := fs.Int("trace-keep-ok", 0, "tail-sample: keep 1 in N healthy traces (error traces always kept; 0/1 keeps all)")
 	traceHead := fs.Int("trace-head", 0, "head-sample: buffer only 1 in N traces at all (0/1 keeps all)")
-	benchMode := fs.Bool("bench", false, "run the sharding/stealing/dedup/caching benchmark matrix instead of one audit")
+	benchMode := fs.Bool("bench", false, "run the E13/E14 fleet experiments (sharding, sweep order, dedup, caching) instead of one audit")
 	benchTelemetryMode := fs.Bool("bench-telemetry", false, "run the tracing-overhead benchmark matrix instead of one audit")
 	benchTraceMode := fs.Bool("bench-trace", false, "run the trace-store ingestion/query benchmark matrix instead of one audit")
 	assertOverhead := fs.Float64("assert-overhead", 0, "with -bench-telemetry: exit 1 if the 4-shard spans overhead exceeds this percentage (0 disables)")
@@ -105,15 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *drift > *hosts || *down > *hosts {
 		fmt.Fprintln(stderr, "fleetaudit: -drift and -down cannot exceed -hosts")
-		return 2
-	}
-	scheduling := fleet.ScheduleWorkStealing
-	switch *sched {
-	case "steal":
-	case "static":
-		scheduling = fleet.ScheduleStatic
-	default:
-		fmt.Fprintln(stderr, "fleetaudit: -sched must be steal or static")
 		return 2
 	}
 
@@ -223,14 +214,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := fleet.Options{
-		Mode:       core.CheckOnly,
-		Shards:     *shards,
-		Workers:    *workers,
-		Checks:     engine.Policy{MaxAttempts: *retries, AttemptTimeout: *timeout},
-		Scheduling: scheduling,
-		Dedup:      *dedup,
-		Trace:      tracer,
-		Metrics:    mets,
+		Mode:    core.CheckOnly,
+		Shards:  *shards,
+		Workers: *workers,
+		Checks:  engine.Policy{MaxAttempts: *retries, AttemptTimeout: *timeout},
+		Dedup:   *dedup,
+		Trace:   tracer,
+		Metrics: mets,
 	}
 	if *enforce {
 		opts.Mode = core.CheckAndEnforce
@@ -307,137 +297,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func printSweep(w io.Writer, title string, rep fleet.FleetReport, st fleet.FleetStats, telemetry bool) {
-	t := report.New(title, "host", "shard", "cached", "degraded", "pass", "fail", "incomplete", "compliance")
+	t := report.New(title, "host", "cached", "degraded", "pass", "fail", "incomplete", "compliance")
 	for _, hr := range rep.Hosts {
 		pass, fail, inc := hr.Report.Counts()
-		t.AddRow(hr.Target, hr.Shard, hr.FromCache, hr.Degraded, pass, fail, inc, hr.Report.Compliance())
+		t.AddRow(hr.Target, hr.FromCache, hr.Degraded, pass, fail, inc, hr.Report.Compliance())
 	}
 	t.Note = st.Summary()
 	t.WriteText(w)
 	if telemetry {
-		st.ShardTable(title + ": shards").WriteText(w)
 		st.HostTable(title+": hosts", rep).WriteText(w)
 	}
 }
 
-// runBench produces the BENCH_fleet.json perf record (E13 + E14): the
-// sequential baseline versus the sharded sweep at 1/4/16 shards, the
-// incremental re-sweep, static versus work-stealing scheduling on a
-// skewed fleet, cross-host dedup off/on, and a restart-resume through the
-// persistent cache file. Every check pays a simulated probe round-trip,
-// the live-audit shape where all four mechanisms pay.
+// runBench produces the BENCH_fleet.json perf record: the E13 (sharded
+// sweep, incremental re-sweep, unreachable host) and E14 (sweep order,
+// dedup, restart-resume) experiment tables, each stamped with
+// provenance, written as one JSON array.
 func runBench(stdout, stderr io.Writer, seed int64, out, commit string) int {
-	const (
-		nHosts     = 16
-		probeDelay = 100 * time.Microsecond
-	)
-	mkFleet := func() ([]fleet.Target, []*host.Linux) {
-		targets, machines := fleet.LinuxFleet(nHosts)
-		for i := range targets {
-			targets[i] = fleet.WithProbeDelay(targets[i], probeDelay)
-		}
-		return targets, machines
+	tables := []*report.Table{bench.E13FleetAudit(seed), bench.E14FleetScheduler(seed)}
+	for _, t := range tables {
+		t.Meta = report.Provenance(commit)
+		t.WriteText(stdout)
 	}
-
-	t := report.New("fleet benchmark: 16 hosts x 8 requirements, 100us probe round-trip (skew rows: 160 hosts, 1ms probes, one host 10x slower)",
-		"scenario", "shards", "workers", "requirements-run", "cache-hit-rate", "wall-ms", "speedup-vs-sequential", "errors")
-	t.Meta = report.Provenance(commit)
-
-	// Sequential baseline: per-host RunEngine, one worker, one at a time.
-	targets, _ := mkFleet()
-	t0 := time.Now()
-	for _, tg := range targets {
-		tg.Catalog.RunEngine(core.RunOptions{Mode: core.CheckOnly, Workers: 1})
+	data, err := json.MarshalIndent(tables, "", "  ")
+	if err == nil {
+		err = os.WriteFile(out, append(data, '\n'), 0o644)
 	}
-	seqWall := time.Since(t0)
-	t.AddRow("sequential per-host RunEngine", 1, 1, nHosts*8, "-", report.Millis(seqWall), 1.0, 0)
-
-	speedup := func(w time.Duration) float64 { return float64(seqWall) / float64(w) }
-	for _, shards := range []int{1, 4, 16} {
-		targets, _ := mkFleet()
-		_, st := fleet.Sweep(targets, fleet.Options{Shards: shards, Workers: 4})
-		t.AddRow("full sharded sweep", shards, 4, st.Requirements, "-",
-			report.Millis(st.Wall), speedup(st.Wall), st.Errors)
-	}
-
-	// Incremental: prime, drift 1 of 16 hosts, re-sweep.
-	targets, machines := mkFleet()
-	coord := fleet.NewCoordinator()
-	coord.Sweep(targets, fleet.Options{Shards: 16, Workers: 4})
-	host.DriftLinux(machines[3], 3, rand.New(rand.NewSource(seed)))
-	_, st := coord.Sweep(targets, fleet.Options{Shards: 16, Workers: 4, Incremental: true})
-	t.AddRow("incremental re-sweep (1/16 hosts changed)", 16, 4,
-		st.CacheMisses, report.Percent(st.CacheHitRate()),
-		report.Millis(st.Wall), speedup(st.Wall), st.Errors)
-	incrNote := fmt.Sprintf(
-		"incremental sweep re-executed %d of %d requirements (cache hit rate %s)",
-		st.CacheMisses, st.CacheHits+st.CacheMisses, report.Percent(st.CacheHitRate()))
-
-	// E14a — static versus work-stealing on the skewed fleet: 160 hosts
-	// over 16 shards with a 1ms probe round-trip, one host (from the most
-	// populated affinity bucket, so it has the most shard co-tenants) 10x
-	// slower than the rest. One worker per shard keeps the rows
-	// sleep-dominated so the comparison isolates scheduling; the fleet is
-	// sized so the slow host's own wall sits near total-work/shards, the
-	// regime where stealing's floor is the theoretical optimum. Both
-	// coordinators sweep once to learn per-host costs, then the measured
-	// sweep runs.
-	skewWall := map[fleet.Scheduling]time.Duration{}
-	skewImbalance := map[fleet.Scheduling]float64{}
-	var skewSteals int
-	for _, sched := range []fleet.Scheduling{fleet.ScheduleStatic, fleet.ScheduleWorkStealing} {
-		skTargets, _ := fleet.SkewedFleet(160, 16, time.Millisecond, 10)
-		skCoord := fleet.NewCoordinator()
-		skOpts := fleet.Options{Shards: 16, Workers: 1, Scheduling: sched}
-		skCoord.Sweep(skTargets, skOpts) // cost-learning pass
-		_, skSt := skCoord.Sweep(skTargets, skOpts)
-		skewWall[sched] = skSt.Wall
-		skewImbalance[sched] = skSt.LoadImbalance
-		name := "skewed fleet, static affinity"
-		if sched == fleet.ScheduleWorkStealing {
-			name = "skewed fleet, work-stealing"
-			skewSteals = skSt.Steals
-		}
-		t.AddRow(name, 16, 1, skSt.Requirements, "-", report.Millis(skSt.Wall), "-", skSt.Errors)
-	}
-	stealGain := 1 - float64(skewWall[fleet.ScheduleWorkStealing])/float64(skewWall[fleet.ScheduleStatic])
-
-	// E14b — cross-host dedup on the homogeneous 16-host fleet.
-	var dedupRate float64
-	for _, dedup := range []bool{false, true} {
-		ddTargets, _ := mkFleet()
-		_, ddSt := fleet.Sweep(ddTargets, fleet.Options{Shards: 4, Workers: 4, Dedup: dedup})
-		name, executed := "homogeneous fleet, dedup off", ddSt.Requirements
-		if dedup {
-			name, executed = "homogeneous fleet, dedup on", ddSt.DedupMisses
-			dedupRate = ddSt.DedupRate()
-		}
-		t.AddRow(name, 4, 4, executed, "-", report.Millis(ddSt.Wall), speedup(ddSt.Wall), ddSt.Errors)
-	}
-
-	// E14c — restart-resume: persist the primed cache, reload it in a
-	// fresh coordinator, and re-sweep incrementally with 1 host drifted.
-	cachePath, err := persistAndResume(seed, t)
 	if err != nil {
-		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
-		return 2
-	}
-	defer os.Remove(cachePath)
-
-	t.Note = fmt.Sprintf(
-		"seed %d; sequential baseline %s ms; %s; work stealing cut the skewed-fleet wall by %.0f%% (%d hosts stolen, load imbalance %.2f -> %.2f); dedup executed 8 of 128 checks (rate %s)",
-		seed, report.Millis(seqWall), incrNote, 100*stealGain, skewSteals,
-		skewImbalance[fleet.ScheduleStatic], skewImbalance[fleet.ScheduleWorkStealing],
-		report.Percent(dedupRate))
-
-	t.WriteText(stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
-		return 2
-	}
-	defer f.Close()
-	if err := t.WriteJSON(f); err != nil {
 		fmt.Fprintf(stderr, "fleetaudit: %v\n", err)
 		return 2
 	}
@@ -524,7 +410,7 @@ func runBenchTelemetry(stdout, stderr io.Writer, seed int64, out, commit string,
 	}
 
 	// The fully-cached re-sweep: every host replays, no check executes,
-	// and the traced stats must render finite (the LoadImbalance guard).
+	// and the traced stats must still render finite.
 	targets := mkFleet()
 	coord := fleet.NewCoordinator()
 	coord.Sweep(targets, fleet.Options{Shards: 4, Workers: 4})
@@ -538,8 +424,8 @@ func runBenchTelemetry(stdout, stderr io.Writer, seed int64, out, commit string,
 		cw.lines, report.Millis(st.Wall), "-")
 
 	t.Note = fmt.Sprintf(
-		"seed %d; overhead = (traced - untraced) / untraced wall per shard count, best of %d runs per cell; cached re-sweep hit rate %s, load imbalance %s",
-		seed, benchRuns, report.Percent(st.CacheHitRate()), report.Float(st.LoadImbalance))
+		"seed %d; overhead = (traced - untraced) / untraced wall per shard count, best of %d runs per cell; cached re-sweep hit rate %s, utilization %s",
+		seed, benchRuns, report.Percent(st.CacheHitRate()), report.Percent(st.Utilization()))
 
 	t.WriteText(stdout)
 	f, err := os.Create(out)
@@ -563,38 +449,4 @@ func runBenchTelemetry(stdout, stderr io.Writer, seed int64, out, commit string,
 			spans4Overhead, assertOverhead)
 	}
 	return 0
-}
-
-// persistAndResume primes a coordinator on a probe-delayed fleet, saves
-// its cache to a temp file, resumes a fresh coordinator from it and adds
-// the restart-resume row: the resumed sweep must hit exactly like the
-// uninterrupted one would.
-func persistAndResume(seed int64, t *report.Table) (string, error) {
-	const nHosts = 16
-	targets, machines := fleet.LinuxFleet(nHosts)
-	for i := range targets {
-		targets[i] = fleet.WithProbeDelay(targets[i], 100*time.Microsecond)
-	}
-	coord := fleet.NewCoordinator()
-	coord.Sweep(targets, fleet.Options{Shards: 16, Workers: 4})
-	f, err := os.CreateTemp("", "fleet-cache-*.json")
-	if err != nil {
-		return "", err
-	}
-	path := f.Name()
-	f.Close()
-	if err := coord.SaveCache(path); err != nil {
-		return path, err
-	}
-
-	host.DriftLinux(machines[5], 3, rand.New(rand.NewSource(seed+7)))
-	resumed := fleet.NewCoordinator()
-	if err := resumed.LoadCache(path); err != nil {
-		return path, err
-	}
-	_, st := resumed.Sweep(targets, fleet.Options{Shards: 16, Workers: 4, Incremental: true})
-	t.AddRow("restart-resume from cache file (1/16 hosts changed)", 16, 4,
-		st.CacheMisses, report.Percent(st.CacheHitRate()),
-		report.Millis(st.Wall), "-", st.Errors)
-	return path, nil
 }

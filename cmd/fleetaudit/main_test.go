@@ -93,34 +93,40 @@ func TestBenchWritesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tbl report.Table
-	if err := json.Unmarshal(data, &tbl); err != nil {
+	var tables []report.Table
+	if err := json.Unmarshal(data, &tables); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(tbl.Rows) != 10 {
-		t.Errorf("rows = %d, want 10 scenarios", len(tbl.Rows))
+	// The record is the E13 and E14 experiment tables, row for row.
+	if len(tables) != 2 || !strings.HasPrefix(tables[0].Title, "E13:") || !strings.HasPrefix(tables[1].Title, "E14:") {
+		t.Fatalf("tables = %d, want E13 then E14", len(tables))
 	}
-	if !strings.Contains(tbl.Rows[0][0], "sequential") {
-		t.Errorf("first row must be the sequential baseline: %v", tbl.Rows[0])
+	if len(tables[0].Rows) != 6 || len(tables[1].Rows) != 6 {
+		t.Errorf("rows = %d / %d, want 6 / 6", len(tables[0].Rows), len(tables[1].Rows))
+	}
+	if !strings.Contains(tables[0].Rows[0][0], "sequential") {
+		t.Errorf("first E13 row must be the sequential baseline: %v", tables[0].Rows[0])
 	}
 	var scenarios []string
-	for _, row := range tbl.Rows {
+	for _, row := range tables[1].Rows {
 		scenarios = append(scenarios, row[0])
 	}
 	joined := strings.Join(scenarios, "\n")
-	for _, want := range []string{"work-stealing", "static affinity", "dedup on", "dedup off", "restart-resume"} {
+	for _, want := range []string{"cold sweep (name order)", "warm sweep (observed-cost order)", "dedup on", "dedup off", "restart-resume"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("bench matrix missing the %q scenario:\n%s", want, joined)
+			t.Errorf("E14 rows missing the %q scenario:\n%s", want, joined)
 		}
 	}
-	// Provenance travels with the record.
-	for _, key := range []string{"goos", "goarch", "cpus", "commit"} {
-		if tbl.Meta[key] == "" {
-			t.Errorf("bench meta missing %q: %v", key, tbl.Meta)
+	// Provenance travels with each table.
+	for _, tbl := range tables {
+		for _, key := range []string{"goos", "goarch", "cpus", "commit"} {
+			if tbl.Meta[key] == "" {
+				t.Errorf("%s meta missing %q: %v", tbl.Title, key, tbl.Meta)
+			}
 		}
-	}
-	if tbl.Meta["commit"] != "deadbeef" {
-		t.Errorf("commit = %q, want the -commit override", tbl.Meta["commit"])
+		if tbl.Meta["commit"] != "deadbeef" {
+			t.Errorf("commit = %q, want the -commit override", tbl.Meta["commit"])
+		}
 	}
 }
 
@@ -171,16 +177,6 @@ func TestDedupFlagReportsDedupTraffic(t *testing.T) {
 	}
 	if !strings.Contains(out, "dedup 88%") {
 		t.Errorf("8 identical hosts must dedup 7/8 of checks:\n%s", out)
-	}
-}
-
-func TestSchedFlagValidated(t *testing.T) {
-	if code, _, _ := runCapture(t, "-sched", "nonsense"); code != 2 {
-		t.Error("invalid -sched must be a usage error")
-	}
-	code, out, _ := runCapture(t, "-hosts", "4", "-shards", "2", "-drift", "0", "-sched", "static")
-	if code != 0 {
-		t.Fatalf("static scheduling run failed: %d\n%s", code, out)
 	}
 }
 

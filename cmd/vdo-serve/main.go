@@ -297,11 +297,7 @@ func writeSummary(w io.Writer, s *fleet.Streamer, f *loadgen.Fleet, sum flushSum
 	// Read localization is a property of the watched catalogues — the
 	// fleet's current members — not of the session's churn.
 	var loc fleet.FleetStats
-	for _, h := range f.Hosts() {
-		p := h.Catalog().Plan()
-		loc.IndexedChecks += len(p.Indexed())
-		loc.UnindexedChecks += len(p.Unindexed())
-	}
+	loc.IndexedChecks, loc.UnindexedChecks = fleet.CountLocalization(f.Targets())
 	pass, fail, incomplete := s.Counts()
 	t := report.New(fmt.Sprintf("vdo-serve session: %d hosts, uptime %v",
 		s.Hosts(), uptime.Round(time.Millisecond)),

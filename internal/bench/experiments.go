@@ -546,16 +546,16 @@ func E12SecurityLevels(seed int64) *report.Table {
 // E13FleetAudit measures the sharded fleet coordinator: sequential
 // per-host auditing versus sharded sweeps at growing shard counts, the
 // incremental re-sweep with one changed host, and an unreachable host
-// degrading its shard to ERROR verdicts without stalling the fleet. Every
-// check pays a simulated 50µs probe round-trip (the live-audit transport
-// cost that makes sharding pay); cmd/fleetaudit -bench records the same
-// matrix into BENCH_fleet.json at the full 100µs setting.
+// degrading to ERROR verdicts without stalling the fleet. Every check
+// pays a simulated 50µs probe round-trip (the live-audit transport cost
+// that makes sharding pay); cmd/fleetaudit -bench records this table and
+// E14 into BENCH_fleet.json.
 func E13FleetAudit(seed int64) *report.Table {
 	const nHosts = 16
 	t := report.New("E13: sharded fleet audit (16 hosts, 50us probe round-trip)",
 		"scenario", "shards", "workers", "requirements-run", "cache-hit-rate",
 		"errors", "degraded-hosts", "wall-ms", "speedup")
-	t.Note = "host-affine shards cut wall time near-linearly; the incremental cache re-executes only the changed host; an unreachable host degrades to ERROR without stalling the sweep"
+	t.Note = "sharded sweeps cut wall time near-linearly; the incremental cache re-executes only the changed host; an unreachable host degrades to ERROR without stalling the sweep"
 
 	mk := func() ([]fleet.Target, []*host.Linux) {
 		targets, machines := fleet.LinuxFleet(nHosts)
@@ -599,34 +599,29 @@ func E13FleetAudit(seed int64) *report.Table {
 	return t
 }
 
-// E14FleetScheduler measures the dynamic scheduling layer on top of the
-// sharded sweep: work stealing on a skewed fleet (one host 10x slower
-// than its co-tenants, planted in the largest affinity bucket), cross-host
-// check dedup on a homogeneous fleet, and the persistent cache resuming an
-// incremental sweep across a simulated process restart. Static scheduling
-// paces the whole sweep at the slow bucket; stealing drains the bucket's
-// healthy hosts onto idle shards once per-host costs are known.
+// E14FleetScheduler measures what sits on top of the sharded sweep:
+// sweep order on a skewed fleet (160 hosts, the last in name order 10x
+// slower than the rest), cross-host check dedup on a homogeneous fleet,
+// and the persistent cache resuming an incremental sweep across a
+// simulated process restart. The cold sweep knows no costs and runs in
+// name order, so the slow host starts last and paces the sweep's tail;
+// the warm sweep on the same coordinator orders hosts by the costs the
+// cold one observed and starts the slow host first.
 func E14FleetScheduler(seed int64) *report.Table {
-	t := report.New("E14: work-stealing scheduler, check dedup and persistent cache (skew: 160 hosts, 1ms probes, one 10x slower)",
-		"scenario", "shards", "workers", "requirements-run", "rate", "steals",
-		"load-imbalance", "wall-ms")
+	t := report.New("E14: sweep order, check dedup and persistent cache (skew: 160 hosts, 1ms probes, last host 10x slower)",
+		"scenario", "shards", "workers", "requirements-run", "rate", "utilization", "wall-ms")
 
-	// Skewed fleet: a cost-learning sweep first, then the measured sweep,
-	// so the scheduler orders queues by observed per-host cost.
-	walls := map[string]time.Duration{}
-	for _, mode := range []struct {
-		name  string
-		sched fleet.Scheduling
-	}{{"static affinity", fleet.ScheduleStatic}, {"work-stealing", fleet.ScheduleWorkStealing}} {
-		targets, _ := fleet.SkewedFleet(160, 16, time.Millisecond, 10)
-		coord := fleet.NewCoordinator()
-		opts := fleet.Options{Shards: 16, Workers: 1, Scheduling: mode.sched}
-		coord.Sweep(targets, opts)
-		_, st := coord.Sweep(targets, opts)
-		walls[mode.name] = st.Wall
-		t.AddRow("skewed fleet, "+mode.name, 16, 1, st.Requirements, "-",
-			st.Steals, st.LoadImbalance, report.Millis(st.Wall))
-	}
+	// Skewed fleet: one coordinator, the cold sweep first, then the warm
+	// sweep ordered by the per-host costs the cold one observed.
+	skTargets, _ := fleet.SkewedFleet(160, time.Millisecond, 10)
+	skCoord := fleet.NewCoordinator()
+	skOpts := fleet.Options{Shards: 16, Workers: 1}
+	_, cold := skCoord.Sweep(skTargets, skOpts)
+	_, warm := skCoord.Sweep(skTargets, skOpts)
+	t.AddRow("skewed fleet, cold sweep (name order)", 16, 1, cold.Requirements, "-",
+		report.Percent(cold.Utilization()), report.Millis(cold.Wall))
+	t.AddRow("skewed fleet, warm sweep (observed-cost order)", 16, 1, warm.Requirements, "-",
+		report.Percent(warm.Utilization()), report.Millis(warm.Wall))
 
 	// Homogeneous fleet: dedup executes each distinct (finding, state)
 	// fingerprint once per sweep and replays the verdict fleet-wide.
@@ -646,7 +641,7 @@ func E14FleetScheduler(seed int64) *report.Table {
 			name, run, rate = "homogeneous fleet, dedup on", st.DedupMisses, report.Percent(st.DedupRate())
 			dedupRate = rate
 		}
-		t.AddRow(name, 4, 4, run, rate, st.Steals, st.LoadImbalance,
+		t.AddRow(name, 4, 4, run, rate, report.Percent(st.Utilization()),
 			report.Millis(st.Wall))
 	}
 
@@ -666,7 +661,7 @@ func E14FleetScheduler(seed int64) *report.Table {
 	incOpts := fleet.Options{Shards: 16, Workers: 4, Incremental: true}
 	_, stInc := coord.Sweep(targets, incOpts)
 	t.AddRow("incremental re-sweep (1/16 changed)", 16, 4, stInc.CacheMisses,
-		report.Percent(stInc.CacheHitRate()), stInc.Steals, stInc.LoadImbalance,
+		report.Percent(stInc.CacheHitRate()), report.Percent(stInc.Utilization()),
 		report.Millis(stInc.Wall))
 	resumed := fleet.NewCoordinator()
 	if cacheFile != nil {
@@ -674,11 +669,11 @@ func E14FleetScheduler(seed int64) *report.Table {
 	}
 	_, stRes := resumed.Sweep(targets, incOpts)
 	t.AddRow("restart-resume from cache file (1/16 changed)", 16, 4, stRes.CacheMisses,
-		report.Percent(stRes.CacheHitRate()), stRes.Steals, stRes.LoadImbalance,
+		report.Percent(stRes.CacheHitRate()), report.Percent(stRes.Utilization()),
 		report.Millis(stRes.Wall))
 
-	gain := 1 - float64(walls["work-stealing"])/float64(walls["static affinity"])
-	t.Note = fmt.Sprintf("work stealing cut the skewed-fleet wall by %.0f%%; dedup executed 8 of 128 checks (rate %s); the coordinator resumed from disk matches the uninterrupted hit rate (%s)",
+	gain := 1 - float64(warm.Wall)/float64(cold.Wall)
+	t.Note = fmt.Sprintf("observed-cost order cut the skewed-fleet wall by %.0f%% against the cold name-order sweep; dedup executed 8 of 128 checks (rate %s); the coordinator resumed from disk matches the uninterrupted hit rate (%s)",
 		100*gain, dedupRate, report.Percent(stRes.CacheHitRate()))
 	return t
 }

@@ -280,18 +280,15 @@ func TestE14SchedulerShape(t *testing.T) {
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 scenarios", len(tbl.Rows))
 	}
-	// Columns: scenario, shards, workers, requirements-run, rate, steals,
-	// load-imbalance, wall-ms. Wall times and steal placement are
+	// Columns: scenario, shards, workers, requirements-run, rate,
+	// utilization, wall-ms. Wall times and utilization are
 	// timing-dependent; the totals asserted here are not.
-	static, steal := tbl.Rows[0], tbl.Rows[1]
-	if !strings.Contains(static[0], "static") || !strings.Contains(steal[0], "work-stealing") {
-		t.Fatalf("skew rows out of order: %v / %v", static, steal)
+	cold, warm := tbl.Rows[0], tbl.Rows[1]
+	if !strings.Contains(cold[0], "cold sweep (name order)") || !strings.Contains(warm[0], "warm sweep (observed-cost order)") {
+		t.Fatalf("skew rows out of order: %v / %v", cold, warm)
 	}
-	if static[5] != "0" {
-		t.Errorf("static scheduling stole %s hosts, want 0", static[5])
-	}
-	if n, _ := strconv.Atoi(steal[5]); n == 0 {
-		t.Errorf("work stealing moved no hosts off the slow shard: %v", steal)
+	if cold[3] != "1280" || warm[3] != "1280" {
+		t.Errorf("skew sweeps must each run all 1280 requirements: %v / %v", cold, warm)
 	}
 	dedupOn := tbl.Rows[3]
 	if dedupOn[3] != "8" || dedupOn[4] != "94%" {

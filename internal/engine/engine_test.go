@@ -337,7 +337,7 @@ func TestPullDrainsSharedQueue(t *testing.T) {
 	var next atomic.Int64
 	const n = 100
 	var done, sum atomic.Int64
-	walls, ps := Pull(4, func(int) (int, bool) {
+	ps := Pull(4, func(int) (int, bool) {
 		i := next.Add(1) - 1
 		if i >= n {
 			return 0, false
@@ -353,20 +353,15 @@ func TestPullDrainsSharedQueue(t *testing.T) {
 	if sum.Load() != n*(n-1)/2 {
 		t.Fatalf("item sum = %d, want %d: every index must run exactly once", sum.Load(), n*(n-1)/2)
 	}
-	if len(walls) != 4 || ps.Workers != 4 {
-		t.Errorf("walls=%d workers=%d, want 4", len(walls), ps.Workers)
-	}
-	for w, d := range walls {
-		if d <= 0 {
-			t.Errorf("worker %d wall = %v, want > 0", w, d)
-		}
+	if ps.Workers != 4 || ps.Wall <= 0 {
+		t.Errorf("workers=%d wall=%v, want 4 workers and a positive wall", ps.Workers, ps.Wall)
 	}
 }
 
 func TestPullPanicDoesNotKillWorker(t *testing.T) {
 	var next atomic.Int64
 	var clean atomic.Int64
-	_, ps := Pull(2, func(int) (int, bool) {
+	ps := Pull(2, func(int) (int, bool) {
 		i := next.Add(1) - 1
 		if i >= 10 {
 			return 0, false

@@ -34,120 +34,127 @@ func (s PoolStats) Utilization() float64 {
 }
 
 // Map applies f to every item on a bounded worker pool and returns the
-// results in input order. Workers are clamped to [1, len(items)]; a single
-// worker runs inline with no goroutines, so sequential callers pay no
-// scheduling cost. A panic escaping f leaves that item's result at the
-// zero value and is counted in PoolStats.Panics — one misbehaving item
-// never takes down the pool (callers wanting a richer verdict should
-// recover inside f, e.g. via Attempt).
+// results in input order. Workers are clamped to [1, len(items)] and take
+// the next index from one shared counter; a single worker runs inline
+// with no goroutines, so sequential callers pay no scheduling cost. A
+// panic escaping f leaves that item's result at the zero value and is
+// counted in PoolStats.Panics — one misbehaving item never takes down
+// the pool (callers wanting a richer verdict should recover inside f,
+// e.g. via Attempt).
 func Map[T, R any](items []T, workers int, f func(int, T) R) ([]R, PoolStats) {
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > len(items) {
 		workers = len(items)
 	}
 	if len(items) == 0 {
 		return nil, PoolStats{Workers: 0}
 	}
-	results := make([]R, len(items))
-	var busy, panics atomic.Int64
-	start := time.Now()
-	runOne := func(i int) {
-		t0 := time.Now()
-		defer func() {
-			busy.Add(int64(time.Since(t0)))
-			if r := recover(); r != nil {
-				panics.Add(1)
-			}
-		}()
-		results[i] = f(i, items[i])
-	}
-	if workers == 1 {
-		for i := range items {
-			runOne(i)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					runOne(i)
-				}
-			}()
-		}
-		for i := range items {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	return results, PoolStats{
-		Workers: workers,
-		Wall:    time.Since(start),
-		Busy:    time.Duration(busy.Load()),
-		Panics:  int(panics.Load()),
-	}
+	m := &mapper[T, R]{items: items, results: make([]R, len(items)), f: f}
+	return m.results, drain(workers, m)
 }
 
 // Pull is the pull-based counterpart of Map for callers whose work list
 // is dynamic: a pool of workers repeatedly asks next for an item until it
 // reports no more work, and hands each item to run on the same worker.
 // next is called with the worker index and must be safe for concurrent
-// use — it is the scheduler (a shared queue, a work-stealing heap);
-// returning ok=false retires the asking worker. Passing item indices
-// instead of per-item closures keeps the pool allocation-free per item.
-// A panic escaping run is counted in PoolStats.Panics and does not kill
-// its worker. Returns each worker's wall time (pool start to that
-// worker's retirement) alongside the pool telemetry. A single worker
-// runs inline with no goroutines.
-func Pull(workers int, next func(worker int) (item int, ok bool), run func(worker, item int)) ([]time.Duration, PoolStats) {
-	if workers < 1 {
-		workers = 1
-	}
-	walls := make([]time.Duration, workers)
-	var busy, panics atomic.Int64
+// use; returning ok=false retires the asking worker. Passing item
+// indices instead of per-item closures keeps the pool allocation-free
+// per item. A panic escaping run is counted in PoolStats.Panics and does
+// not kill its worker. A single worker runs inline with no goroutines.
+func Pull(workers int, next func(worker int) (item int, ok bool), run func(worker, item int)) PoolStats {
+	return drain(workers, &puller{nextFn: next, runFn: run})
+}
+
+// source is what the shared worker loop drains: Map's index counter over
+// a slice, or Pull's caller-supplied callbacks.
+type source interface {
+	next(worker int) (item int, ok bool)
+	run(worker, item int)
+}
+
+// mapper is Map's source: indices from one atomic cursor, results
+// written at the drawn index.
+type mapper[T, R any] struct {
+	cursor  atomic.Int64
+	items   []T
+	results []R
+	f       func(int, T) R
+}
+
+func (m *mapper[T, R]) next(int) (int, bool) {
+	i := int(m.cursor.Add(1) - 1)
+	return i, i < len(m.items)
+}
+
+func (m *mapper[T, R]) run(_, i int) { m.results[i] = m.f(i, m.items[i]) }
+
+// puller is Pull's source.
+type puller struct {
+	nextFn func(worker int) (int, bool)
+	runFn  func(worker, item int)
+}
+
+func (p *puller) next(w int) (int, bool) { return p.nextFn(w) }
+func (p *puller) run(w, item int)        { p.runFn(w, item) }
+
+// loop is the one worker loop behind Map and Pull: each worker draws
+// items from src until it reports none, timing and panic-isolating every
+// run.
+type loop struct {
+	src          source
+	busy, panics atomic.Int64
+	wg           sync.WaitGroup
+}
+
+// drain runs src to exhaustion on workers workers (clamped to >= 1). One
+// worker runs inline on the caller's goroutine, with the loop on its
+// stack.
+func drain(workers int, src source) PoolStats {
 	start := time.Now()
-	runItem := func(w, item int) {
-		t0 := time.Now()
-		defer func() {
-			busy.Add(int64(time.Since(t0)))
-			if r := recover(); r != nil {
-				panics.Add(1)
-			}
-		}()
-		run(w, item)
+	if workers <= 1 {
+		l := loop{src: src}
+		l.work(0)
+		return l.stats(1, start)
 	}
-	worker := func(w int) {
-		for {
-			item, ok := next(w)
-			if !ok {
-				break
-			}
-			runItem(w, item)
+	l := &loop{src: src}
+	l.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go l.goWork(w)
+	}
+	l.wg.Wait()
+	return l.stats(workers, start)
+}
+
+func (l *loop) goWork(w int) {
+	defer l.wg.Done()
+	l.work(w)
+}
+
+func (l *loop) work(w int) {
+	for {
+		item, ok := l.src.next(w)
+		if !ok {
+			return
 		}
-		walls[w] = time.Since(start)
+		l.runItem(w, item)
 	}
-	if workers == 1 {
-		worker(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				worker(w)
-			}(w)
+}
+
+func (l *loop) runItem(w, item int) {
+	t0 := time.Now()
+	defer func() {
+		l.busy.Add(int64(time.Since(t0)))
+		if r := recover(); r != nil {
+			l.panics.Add(1)
 		}
-		wg.Wait()
-	}
-	return walls, PoolStats{
+	}()
+	l.src.run(w, item)
+}
+
+func (l *loop) stats(workers int, start time.Time) PoolStats {
+	return PoolStats{
 		Workers: workers,
 		Wall:    time.Since(start),
-		Busy:    time.Duration(busy.Load()),
-		Panics:  int(panics.Load()),
+		Busy:    time.Duration(l.busy.Load()),
+		Panics:  int(l.panics.Load()),
 	}
 }

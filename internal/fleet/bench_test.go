@@ -51,27 +51,30 @@ func BenchmarkFleetSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetSkewedSweep measures the work-stealing win on the skewed
-// fleet shape: one host 10× slower than its shard co-tenants. Static
-// scheduling paces the sweep at the slow bucket; stealing drains the
-// bucket's healthy hosts onto idle shards. `make bench-steal` runs this
-// pair side by side.
+// BenchmarkFleetSkewedSweep measures sweep order on the skewed fleet
+// shape: one host 10× slower than the rest and last in name order. The
+// cold sweep (a fresh coordinator, no costs known) runs in name order
+// and starts the slow host last; the warm sweep orders by the costs the
+// previous sweep observed and starts it first. `make bench-sched` runs
+// this pair side by side.
 func BenchmarkFleetSkewedSweep(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		sched Scheduling
-	}{{"static", ScheduleStatic}, {"stealing", ScheduleWorkStealing}} {
-		b.Run(mode.name, func(b *testing.B) {
-			targets, _ := SkewedFleet(256, 16, 20*time.Microsecond, 10)
-			coord := NewCoordinator()
-			opts := Options{Shards: 16, Workers: 4, Scheduling: mode.sched}
-			coord.Sweep(targets, opts) // learn per-host costs
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				coord.Sweep(targets, opts)
-			}
-		})
-	}
+	opts := Options{Shards: 16, Workers: 4}
+	b.Run("cold", func(b *testing.B) {
+		targets, _ := SkewedFleet(256, 20*time.Microsecond, 10)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			NewCoordinator().Sweep(targets, opts)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		targets, _ := SkewedFleet(256, 20*time.Microsecond, 10)
+		coord := NewCoordinator()
+		coord.Sweep(targets, opts) // learn per-host costs
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			coord.Sweep(targets, opts)
+		}
+	})
 }
 
 // BenchmarkFleetDedupSweep measures cross-host check dedup on a

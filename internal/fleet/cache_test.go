@@ -49,11 +49,10 @@ func TestSaveLoadCacheRestartResume(t *testing.T) {
 		t.Error("restart-resume sweep verdicts diverge from the uninterrupted run")
 	}
 
-	// The persisted cost table seeds LPT scheduling on the new process.
-	costs := resumed.snapshotCosts(targets)
+	// The persisted cost table seeds the sweep order on the new process.
 	nonzero := 0
-	for _, c := range costs {
-		if c > 0 {
+	for _, e := range resumed.costQueue(targets) {
+		if e.cost > 0 {
 			nonzero++
 		}
 	}
@@ -147,10 +146,9 @@ func TestSaveLoadCacheCostOnlyHosts(t *testing.T) {
 		t.Errorf("restored %d cache entries, want 2 (cost-only record must not become one)",
 			restored.CachedHosts())
 	}
-	costs := restored.snapshotCosts(targets)
-	for i, c := range costs {
-		if c <= 0 {
-			t.Errorf("restored cost for %s = %v, want > 0", targets[i].Name, c)
+	for i, e := range restored.costQueue(targets) {
+		if e.cost <= 0 {
+			t.Errorf("restored cost for %s = %v, want > 0", targets[i].Name, e.cost)
 		}
 	}
 
@@ -166,9 +164,9 @@ func TestSaveLoadCacheCostOnlyHosts(t *testing.T) {
 	if err := cold.LoadCache(path); !errors.Is(err, ErrCacheSchema) {
 		t.Fatalf("err = %v, want ErrCacheSchema", err)
 	}
-	for i, c := range cold.snapshotCosts(targets) {
-		if c != 0 {
-			t.Errorf("schema-mismatch load kept cost for %s = %v, want 0", targets[i].Name, c)
+	for i, e := range cold.costQueue(targets) {
+		if e.cost != 0 {
+			t.Errorf("schema-mismatch load kept cost for %s = %v, want 0", targets[i].Name, e.cost)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"testing"
-	"time"
 
 	"veridevops/internal/core"
 	"veridevops/internal/engine"
@@ -61,7 +60,7 @@ func TestAggregateCountsDegradedCachedHost(t *testing.T) {
 		{Target: "b", Degraded: true},
 		{Target: "c"},
 	}
-	st := aggregate(results, []time.Duration{0}, engine.PoolStats{},
+	st := aggregate(results, engine.PoolStats{},
 		Options{Shards: 1, Workers: 1, Incremental: true}.normalized(len(results)))
 	if st.DegradedHosts != 2 {
 		t.Errorf("DegradedHosts = %d, want 2 (one executed, one cached)", st.DegradedHosts)

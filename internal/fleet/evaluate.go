@@ -22,8 +22,8 @@ import (
 // A non-nil only with no valid cached report to build on runs the whole
 // catalogue instead. memo, when non-nil, is the caller's shared dedup
 // memo; span, when non-nil, parents the catalogue run's check spans.
-func (c *Coordinator) evaluate(t Target, only []string, shard int, opts Options, memo *core.CheckMemo, span *telemetry.Span) (HostResult, uint64) {
-	hr := HostResult{Target: t.Name, Shard: shard}
+func (c *Coordinator) evaluate(t Target, only []string, opts Options, memo *core.CheckMemo, span *telemetry.Span) (HostResult, uint64) {
+	hr := HostResult{Target: t.Name}
 	if t.Catalog == nil {
 		return hr, 0
 	}

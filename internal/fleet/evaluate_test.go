@@ -11,7 +11,7 @@ import (
 // sweep or flush — no shared memo, no span — and folds the result into
 // the ledger as they do.
 func evalHost(c *Coordinator, t Target, only []string, opts Options) HostResult {
-	hr, version := c.evaluate(t, only, 0, opts.normalized(1), nil, nil)
+	hr, version := c.evaluate(t, only, opts.normalized(1), nil, nil)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.foldLocked(t, hr, version, 0, nil)

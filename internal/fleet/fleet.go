@@ -1,25 +1,24 @@
 // Package fleet is the operations-scale layer of the VeriDevOps
 // reproduction: a coordinator that audits N hosts × M requirements across
-// a two-level worker pool — shard goroutines pulling hosts from a dynamic
-// scheduler, and engine.Map workers inside each host's catalogue run.
+// a two-level worker pool — shard workers taking hosts from one queue,
+// and engine.Map workers inside each host's catalogue run.
 //
-// Scheduling is work-stealing with affinity as the tiebreak. Each shard's
-// queue is seeded with its affinity hosts (a stable FNV-1a hash of the
-// host name) ordered most-expensive-first, using the per-host audit costs
-// the coordinator observed on earlier sweeps (LPT); a shard whose queue
-// drains steals the most expensive remaining host from the most loaded
-// shard instead of idling. On a balanced fleet every host runs on its
-// home shard — transport state and caches stay shard-local, exactly the
-// old static placement — while a skewed fleet (one slow host, uneven
-// buckets) converges towards equal shard walls instead of being paced by
-// the unluckiest bucket. ScheduleStatic restores the pure-affinity
-// behaviour for comparison.
+// A sweep's queue is ordered by observed cost, most expensive first: the
+// coordinator remembers each host's last audit wall, a host never audited
+// is assumed to cost the mean of the known ones, and ties break by name.
+// The Options.Shards workers pull from the queue through one atomic
+// cursor, so a free worker always takes the next most expensive host —
+// greedy LPT (longest processing time first) list scheduling. A cold
+// sweep, with no costs known, runs in name order; from the second sweep
+// on a slow host starts first instead of pacing the sweep's tail. Every
+// worker shares the sweep's dedup memo and the coordinator's ledger, so
+// which worker runs a host changes no verdict.
 //
 // Cross-host check dedup (Options.Dedup) exploits fleet homogeneity: on
 // audit-only sweeps, requirements that fingerprint their read state
 // (core.CheckFingerprint) execute once per distinct (finding, state)
 // pair per sweep and replay the verdict to every identical co-tenant,
-// through one single-flight core.CheckMemo shared by all shards.
+// through one single-flight core.CheckMemo shared by all workers.
 //
 // A Coordinator carries an incremental-audit cache between sweeps, keyed
 // on each host's monotonic state version (host.EventLog.Version): a
@@ -32,15 +31,17 @@
 //
 // Unreachable hosts (host.Linux.SetUnreachable) degrade instead of
 // stalling the fleet: their probes panic, the fault-tolerant engine
-// recovers each panic into an ERROR verdict, and the remaining shards
+// recovers each panic into an ERROR verdict, and the other workers
 // proceed untouched.
 package fleet
 
 import (
-	"hash/fnv"
+	"cmp"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"veridevops/internal/core"
 	"veridevops/internal/engine"
@@ -50,8 +51,8 @@ import (
 // Target is one audited host: a name, its requirement catalogue, and an
 // optional state-version probe for incremental sweeps.
 type Target struct {
-	// Name identifies the host; it is the cache key and the affinity key,
-	// so it must be unique and stable across sweeps.
+	// Name identifies the host; it is the ledger key and the sweep-order
+	// tiebreak, so it must be unique and stable across sweeps.
 	Name string
 	// Catalog is the host's requirement catalogue.
 	Catalog *core.Catalog
@@ -65,8 +66,9 @@ type Target struct {
 type Options struct {
 	// Mode selects audit-only or audit-and-remediate.
 	Mode core.RunMode
-	// Shards is the host-level parallelism: how many shard goroutines run
-	// catalogues concurrently. Clamped to [1, number of targets].
+	// Shards is the host-level parallelism: how many pool workers take
+	// hosts from the sweep's queue and run their catalogues concurrently.
+	// Clamped to [1, number of targets].
 	Shards int
 	// Workers is the engine.Map pool size inside each host's catalogue
 	// run; values <= 1 run a host's checks sequentially.
@@ -76,25 +78,22 @@ type Options struct {
 	// Incremental reuses cached per-host reports for targets whose state
 	// version is unchanged since the coordinator last audited them.
 	Incremental bool
-	// Scheduling selects host placement; the zero value is
-	// ScheduleWorkStealing (see the package comment).
-	Scheduling Scheduling
 	// Dedup enables cross-host check dedup on audit-only sweeps: checks
 	// with equal fingerprints execute once per sweep and replay
 	// everywhere else. Ignored in CheckAndEnforce mode — enforcement
 	// mutates per-host state and is never deduped.
 	Dedup bool
 	// Trace, when non-nil, records the sweep as a span tree: one "sweep"
-	// root, a "shard" span per active shard goroutine, a "host" span per
-	// target (tagged host, stolen, cached, degraded) and the catalogue
-	// runner's "check"/"attempt"/"enforce" spans below. Nil — telemetry
-	// disabled — adds zero allocations to the sweep.
+	// root, a "shard" span per pool worker, a "host" span per target
+	// (tagged host, cached, degraded) under the worker that ran it, and
+	// the catalogue runner's "check"/"attempt"/"enforce" spans below.
+	// Nil — telemetry disabled — adds zero allocations to the sweep.
 	Trace *telemetry.Tracer
-	// Metrics, when non-nil, accumulates sweep counters (fleet.hosts,
-	// fleet.cache.replays, fleet.steals, ...), gauges (fleet.utilization,
-	// fleet.load_imbalance) and duration histograms (fleet.host_wall,
-	// fleet.shard_wall, fleet.queue_wait, fleet.sweep_wall), alongside
-	// the catalogue runner's engine.* metrics.
+	// Metrics, when non-nil, accumulates sweep counters (fleet.sweeps,
+	// fleet.hosts, fleet.cache.replays, fleet.hosts.degraded), the
+	// fleet.utilization gauge and the fleet.host_wall and
+	// fleet.sweep_wall duration histograms, alongside the catalogue
+	// runner's engine.* metrics.
 	Metrics *telemetry.Metrics
 }
 
@@ -114,12 +113,6 @@ func (o Options) normalized(targets int) Options {
 // HostResult is the outcome of auditing one target.
 type HostResult struct {
 	Target string
-	// Shard is the shard the target's work ran on: its affinity home
-	// unless the host was stolen by an idle shard.
-	Shard int
-	// Stolen marks a host executed away from its affinity home by the
-	// work-stealing scheduler.
-	Stolen bool
 	// FromCache marks a result replayed from the incremental cache; its
 	// Stats are zero because nothing executed.
 	FromCache bool
@@ -175,7 +168,7 @@ func (r FleetReport) Failing() []string {
 	return out
 }
 
-// Coordinator shards fleet sweeps and owns the per-host ledger (last
+// Coordinator runs fleet sweeps and owns the per-host ledger (last
 // report, its state version, observed cost) plus the fleet-wide verdict
 // counts. Evaluation only reads the ledger; Sweep and Streamer.Flush
 // write it through one fold, which raises one alarm per violation
@@ -194,18 +187,6 @@ func NewCoordinator() *Coordinator {
 	return &Coordinator{ledger: make(map[string]ledgerEntry)}
 }
 
-// Affinity returns the shard a host name is pinned to under the given
-// shard count: a stable FNV-1a hash, so a host keeps its shard across
-// sweeps and across fleets that contain different co-tenants.
-func Affinity(name string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return int(h.Sum32() % uint32(shards))
-}
-
 // Sweep is a one-shot fleet audit with no cache carried over; equivalent
 // to NewCoordinator().Sweep(targets, opts).
 func Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
@@ -213,13 +194,11 @@ func Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 }
 
 // Sweep audits every target, folds the results into the ledger and
-// returns the merged report and telemetry.
-// Shard goroutines pull hosts from the work-stealing scheduler (see the
-// package comment; ScheduleStatic restores pure affinity buckets), and
-// within a shard each host's catalogue runs on its own engine.Map pool of
-// opts.Workers. The report lists hosts in name order regardless of shard
-// interleaving; verdicts never depend on placement, only placement
-// telemetry does.
+// returns the merged report and telemetry. The opts.Shards pool workers
+// take hosts in observed-cost order (see the package comment), and each
+// host's catalogue runs on its own engine.Map pool of opts.Workers. The
+// report lists hosts in name order whatever the dispatch order; verdicts
+// never depend on it.
 func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetStats) {
 	opts = opts.normalized(len(targets))
 	if len(targets) == 0 {
@@ -233,14 +212,13 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 		ts = slices.Clone(targets)
 		slices.SortFunc(ts, compareTargets)
 	}
+	queue := c.costQueue(ts)
+	costOrder(queue)
 
 	var memo *core.CheckMemo
 	if opts.Dedup && opts.Mode == core.CheckOnly {
 		memo = core.NewCheckMemo()
 	}
-	sched := newStealScheduler(len(ts), opts.Shards,
-		func(i int) int { return Affinity(ts[i].Name, opts.Shards) },
-		c.snapshotCosts(ts), opts.Scheduling == ScheduleStatic)
 
 	// Span bookkeeping is allocated only when tracing is on, so the
 	// disabled path stays allocation-identical to an untraced sweep.
@@ -252,37 +230,34 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 		shardSpans = make([]*telemetry.Span, opts.Shards)
 	}
 
-	// results is written at distinct indices: the scheduler hands each
-	// host index out exactly once. stolen[shard] and shardSpans[shard]
-	// are touched only by shard's own goroutine: engine.Pull calls next
-	// and then run for the drawn host on it.
+	// results is written at distinct indices: the cursor hands each queue
+	// position out exactly once. shardSpans[shard] is touched only by
+	// that worker's goroutine: engine.Pull calls next and then run for
+	// the drawn host on it.
 	results := make([]HostResult, len(ts))
 	versions := make([]uint64, len(ts))
-	stolen := make([]bool, opts.Shards)
-	shardWalls, ps := engine.Pull(opts.Shards, func(shard int) (int, bool) {
-		i, st, ok := sched.next(shard)
-		if !ok {
+	var cursor atomic.Int64
+	ps := engine.Pull(opts.Shards, func(shard int) (int, bool) {
+		if shardSpans != nil && shardSpans[shard] == nil {
+			shardSpans[shard] = root.Child("shard").TagInt("shard", shard)
+		}
+		k := int(cursor.Add(1) - 1)
+		if k >= len(queue) {
 			if shardSpans != nil {
 				shardSpans[shard].End()
 			}
 			return 0, false
 		}
-		if shardSpans != nil && shardSpans[shard] == nil {
-			shardSpans[shard] = root.Child("shard").TagInt("shard", shard)
-		}
-		stolen[shard] = st
-		return i, true
+		return queue[k].idx, true
 	}, func(shard, i int) {
 		var hs *telemetry.Span
 		if shardSpans != nil {
 			// ChildTrace: each host audit roots its own trace (tree
 			// link to the shard preserved), so the trace store can
 			// sample and rank per host, not per whole sweep.
-			hs = shardSpans[shard].ChildTrace("host").
-				Tag("host", ts[i].Name).TagBool("stolen", stolen[shard])
+			hs = shardSpans[shard].ChildTrace("host").Tag("host", ts[i].Name)
 		}
-		hr, version := c.evaluate(ts[i], nil, shard, opts, memo, hs)
-		hr.Stolen = stolen[shard]
+		hr, version := c.evaluate(ts[i], nil, opts, memo, hs)
 		if hs != nil {
 			hs.TagBool("cached", hr.FromCache)
 			if hr.Degraded {
@@ -294,7 +269,7 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 	})
 
 	// Fold in name order once the pool has drained, so alarms are
-	// deterministic whatever the shard interleaving.
+	// deterministic whatever the dispatch interleaving.
 	rep := FleetReport{Hosts: results}
 	c.mu.Lock()
 	for i, hr := range results {
@@ -303,10 +278,9 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 		rep.Repairs += repairs
 	}
 	c.mu.Unlock()
-	st := aggregate(results, shardWalls, ps, opts)
-	countLocalization(&st, ts)
-	sched.apply(&st)
-	root.TagInt("steals", st.Steals).TagInt("cached_hosts", st.CachedHosts).End()
+	st := aggregate(results, ps, opts)
+	st.IndexedChecks, st.UnindexedChecks = CountLocalization(ts)
+	root.TagInt("cached_hosts", st.CachedHosts).End()
 	recordSweepMetrics(opts.Metrics, st)
 	return rep, st
 }
@@ -314,9 +288,48 @@ func (c *Coordinator) Sweep(targets []Target, opts Options) (FleetReport, FleetS
 // compareTargets orders targets by name, the order a sweep reports in.
 func compareTargets(a, b Target) int { return strings.Compare(a.Name, b.Name) }
 
+// queued is one host in a sweep's queue: its index into the name-sorted
+// targets and its estimated audit cost.
+type queued struct {
+	idx  int
+	cost time.Duration
+}
+
+// costOrder sorts a sweep's queue into dispatch order: cost descending,
+// then index (name) ascending. A host with no observed cost (zero) is
+// assumed to cost the mean of the known ones, so a cold sweep, where no
+// cost is known, runs in name order.
+func costOrder(q []queued) {
+	var sum time.Duration
+	known := 0
+	for _, e := range q {
+		if e.cost > 0 {
+			sum += e.cost
+			known++
+		}
+	}
+	if known > 0 {
+		mean := sum / time.Duration(known)
+		for i := range q {
+			if q[i].cost <= 0 {
+				q[i].cost = mean
+			}
+		}
+	}
+	slices.SortFunc(q, compareQueued)
+}
+
+// compareQueued is the dispatch order. Indices are unique, so the order
+// is total and an unstable sort yields what a stable one would.
+func compareQueued(a, b queued) int {
+	if a.cost != b.cost {
+		return cmp.Compare(b.cost, a.cost)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 // recordSweepMetrics folds one sweep's roll-up into the shared metrics
-// registry. Histograms only observe shards that did work, so idle
-// affinity buckets don't drag the distributions to zero.
+// registry.
 func recordSweepMetrics(m *telemetry.Metrics, st FleetStats) {
 	if m == nil {
 		return
@@ -325,15 +338,6 @@ func recordSweepMetrics(m *telemetry.Metrics, st FleetStats) {
 	m.Add("fleet.hosts", int64(st.Hosts))
 	m.Add("fleet.cache.replays", int64(st.CachedHosts))
 	m.Add("fleet.hosts.degraded", int64(st.DegradedHosts))
-	m.Add("fleet.steals", int64(st.Steals))
 	m.SetGauge("fleet.utilization", st.Utilization())
-	m.SetGauge("fleet.load_imbalance", st.LoadImbalance)
 	m.Observe("fleet.sweep_wall", st.Wall)
-	for _, sh := range st.PerShard {
-		if sh.Hosts == 0 {
-			continue
-		}
-		m.Observe("fleet.shard_wall", sh.Wall)
-		m.Observe("fleet.queue_wait", sh.QueueWait)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"veridevops/internal/core"
 	"veridevops/internal/engine"
@@ -13,22 +12,6 @@ import (
 )
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func TestAffinityStableAndInRange(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 16} {
-		for i := 0; i < 50; i++ {
-			name := "host-" + strings.Repeat("x", i%5) + string(rune('a'+i%26))
-			s1 := Affinity(name, shards)
-			s2 := Affinity(name, shards)
-			if s1 != s2 {
-				t.Fatalf("affinity unstable for %q", name)
-			}
-			if s1 < 0 || s1 >= shards {
-				t.Fatalf("affinity %d out of range [0,%d)", s1, shards)
-			}
-		}
-	}
-}
 
 func TestSweepMatchesPerHostRunEngine(t *testing.T) {
 	targets, hosts := LinuxFleet(6)
@@ -235,7 +218,7 @@ func TestFleetReportFailingAndTables(t *testing.T) {
 	if len(failing) != 1 || !strings.HasPrefix(failing[0], "host-01/") {
 		t.Errorf("Failing = %v", failing)
 	}
-	for _, s := range []string{st.Summary(), st.ShardTable("shards").String(), st.HostTable("hosts", rep).String()} {
+	for _, s := range []string{st.Summary(), st.HostTable("hosts", rep).String()} {
 		if !strings.Contains(s, "host") && !strings.Contains(s, "shard") {
 			t.Errorf("rendering looks empty: %q", s)
 		}
@@ -243,25 +226,21 @@ func TestFleetReportFailingAndTables(t *testing.T) {
 }
 
 // TestAggregateSumsTallies: each executed host's attempt tally sums into
-// the fleet roll-up and into its shard's row; a cache replay adds none.
+// the fleet roll-up; a cache replay adds none.
 func TestAggregateSumsTallies(t *testing.T) {
 	tally := func(n int) engine.Tally {
 		return engine.Tally{Attempts: 4 * n, Retries: 3 * n, Panics: 2 * n, Timeouts: n}
 	}
 	results := []HostResult{
-		{Target: "a", Shard: 0, Stats: core.RunStats{Tally: tally(1), Errors: 1}},
-		{Target: "b", Shard: 1, Stats: core.RunStats{Tally: tally(2)}},
-		{Target: "c", Shard: 1, Stats: core.RunStats{Tally: tally(3), Errors: 2}},
-		{Target: "d", Shard: 0, FromCache: true},
+		{Target: "a", Stats: core.RunStats{Tally: tally(1), Errors: 1}},
+		{Target: "b", Stats: core.RunStats{Tally: tally(2)}},
+		{Target: "c", Stats: core.RunStats{Tally: tally(3), Errors: 2}},
+		{Target: "d", FromCache: true},
 	}
-	st := aggregate(results, []time.Duration{0, 0}, engine.PoolStats{},
+	st := aggregate(results, engine.PoolStats{},
 		Options{Shards: 2, Workers: 1}.normalized(len(results)))
 	if st.Tally != tally(6) || st.Errors != 3 {
 		t.Errorf("fleet tally = %+v, %d errors; want %+v, 3 errors", st.Tally, st.Errors, tally(6))
-	}
-	if st.PerShard[0].Tally != tally(1) || st.PerShard[1].Tally != tally(5) {
-		t.Errorf("shard tallies = %+v / %+v, want %+v / %+v",
-			st.PerShard[0].Tally, st.PerShard[1].Tally, tally(1), tally(5))
 	}
 }
 
@@ -281,11 +260,11 @@ func TestHostTableRendersReportHosts(t *testing.T) {
 	if tbl.Note != st.Summary() {
 		t.Errorf("note = %q, want the sweep summary", tbl.Note)
 	}
-	// host, requirements, errors, cached, degraded; shard, stolen and
-	// wall depend on placement and timing.
+	// host, requirements, errors, cached, degraded; wall depends on
+	// timing.
 	var got [][]string
 	for _, row := range tbl.Rows {
-		got = append(got, []string{row[0], row[2], row[3], row[4], row[6]})
+		got = append(got, row[:5])
 	}
 	want := [][]string{
 		{"host-00", "8", "0", "true", "false"},

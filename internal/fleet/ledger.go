@@ -199,14 +199,14 @@ func (c *Coordinator) lookup(name string) (ledgerEntry, bool) {
 	return e, ok && e.valid
 }
 
-// snapshotCosts returns the observed audit cost of each target, indexed
-// like ts; 0 for hosts never executed.
-func (c *Coordinator) snapshotCosts(ts []Target) []time.Duration {
+// costQueue returns a sweep's queue in index order: one entry per
+// target, carrying its observed audit cost (0 for hosts never executed).
+func (c *Coordinator) costQueue(ts []Target) []queued {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]time.Duration, len(ts))
+	q := make([]queued, len(ts))
 	for i, t := range ts {
-		out[i] = c.ledger[t.Name].cost
+		q[i] = queued{idx: i, cost: c.ledger[t.Name].cost}
 	}
-	return out
+	return q
 }

@@ -1,202 +1,143 @@
 package fleet
 
 import (
-	"math"
+	"bytes"
+	"cmp"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"veridevops/internal/telemetry"
 )
 
-// drain pulls the scheduler dry from one shard and returns the host
-// indices in dispatch order plus which were steals.
-func drain(s *stealScheduler, shard int) (order []int, stolen []bool) {
-	for {
-		i, st, ok := s.next(shard)
-		if !ok {
-			return
-		}
-		order = append(order, i)
-		stolen = append(stolen, st)
+// orderOf runs costOrder over a queue built in index order from costs
+// and returns the dispatch order as indices.
+func orderOf(costs ...time.Duration) []int {
+	q := make([]queued, len(costs))
+	for i, c := range costs {
+		q[i] = queued{idx: i, cost: c}
 	}
+	costOrder(q)
+	out := make([]int, len(q))
+	for i, e := range q {
+		out[i] = e.idx
+	}
+	return out
 }
 
+// TestSchedulerLPTOrdersOwnQueue: the sweep's queue is most expensive
+// first, and equal costs keep index (name) order.
 func TestSchedulerLPTOrdersOwnQueue(t *testing.T) {
-	// 4 hosts, all affine to shard 0, costs 10/40/20/30: dispatch must be
-	// most-expensive-first (indices 1, 3, 2, 0).
-	costs := []time.Duration{10, 40, 20, 30}
-	s := newStealScheduler(4, 2, func(int) int { return 0 }, costs, false)
-	order, stolen := drain(s, 0)
-	want := []int{1, 3, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order = %v, want %v", order, want)
-		}
-		if stolen[i] {
-			t.Error("own-queue dispatch flagged as steal")
-		}
+	if got, want := orderOf(10, 40, 20, 30), []int{1, 3, 2, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatch order = %v, want %v (cost descending)", got, want)
+	}
+	if got, want := orderOf(20, 50, 20, 50, 20), []int{1, 3, 0, 2, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatch order = %v, want %v (ties by name)", got, want)
 	}
 }
 
+// TestSchedulerUnknownCostsTieBreakByIndex: a host never audited (cost 0)
+// is placed as if it cost the mean of the known hosts, and a cold queue
+// — no cost known — keeps name order.
 func TestSchedulerUnknownCostsTieBreakByIndex(t *testing.T) {
-	// Cold coordinator: all costs 0 → uniform default cost → name order.
-	s := newStealScheduler(3, 1, func(int) int { return 0 }, make([]time.Duration, 3), false)
-	order, _ := drain(s, 0)
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("cold dispatch order = %v, want index order", order)
+	// Known 10 and 30: the two unknown hosts cost the mean, 20.
+	if got, want := orderOf(0, 10, 30, 0), []int{2, 0, 3, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatch order = %v, want %v (unknown = mean of known)", got, want)
+	}
+	if got, want := orderOf(0, 0, 0, 0), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("cold dispatch order = %v, want name order %v", got, want)
+	}
+}
+
+// hostSpanOrder returns the host tags of a sweep's host spans in the order
+// they were opened (span IDs are handed out at creation).
+func hostSpanOrder(t *testing.T, buf *bytes.Buffer) []string {
+	t.Helper()
+	recs, err := telemetry.ReadJSONL(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(recs, func(a, b telemetry.Record) int { return cmp.Compare(a.ID, b.ID) })
+	var out []string
+	for _, r := range recs {
+		if r.Name == "host" {
+			out = append(out, r.Tags["host"])
 		}
 	}
+	return out
 }
 
-func TestSchedulerStealsFromMostLoadedVictim(t *testing.T) {
-	// Shard 0 empty; shard 1 holds cost 5, shard 2 holds costs 30+20.
-	// An idle shard 0 must steal shard 2's most expensive host (idx 1).
-	affinity := []int{1, 2, 2}
-	costs := []time.Duration{5, 30, 20}
-	s := newStealScheduler(3, 3, func(i int) int { return affinity[i] }, costs, false)
-	i, stolen, ok := s.next(0)
-	if !ok || !stolen {
-		t.Fatalf("idle shard did not steal: idx=%d stolen=%v ok=%v", i, stolen, ok)
-	}
-	if i != 1 {
-		t.Errorf("stole host %d, want 1 (most expensive of the most loaded shard)", i)
-	}
-	// Victim accounting moved: next steal must come from shard 2 again
-	// (remaining 20 > shard 1's 5).
-	if i2, stolen2, _ := s.next(0); i2 != 2 || !stolen2 {
-		t.Errorf("second steal = %d, want 2", i2)
-	}
-	if i3, _, _ := s.next(0); i3 != 0 {
-		t.Errorf("third steal = %d, want 0", i3)
-	}
-	st := FleetStats{PerShard: make([]ShardStats, 3)}
-	s.apply(&st)
-	if st.Steals != 3 || st.PerShard[0].Steals != 3 {
-		t.Errorf("steal accounting = %d total / %+v", st.Steals, st.PerShard)
-	}
-}
-
-func TestSchedulerStaticNeverSteals(t *testing.T) {
-	affinity := []int{1, 1, 1}
-	s := newStealScheduler(3, 2, func(i int) int { return affinity[i] }, nil, true)
-	if _, _, ok := s.next(0); ok {
-		t.Error("static shard with an empty bucket must retire, not steal")
-	}
-	order, _ := drain(s, 1)
-	if len(order) != 3 {
-		t.Errorf("own bucket dispatched %d hosts, want 3", len(order))
-	}
-}
-
-func TestSweepStaticPlacementIsAffinity(t *testing.T) {
-	targets, _ := LinuxFleet(8)
-	rep, st := Sweep(targets, Options{Shards: 4, Workers: 1, Scheduling: ScheduleStatic})
-	if st.Steals != 0 {
-		t.Errorf("static sweep stole %d hosts", st.Steals)
-	}
-	for _, hr := range rep.Hosts {
-		if hr.Stolen {
-			t.Errorf("%s marked stolen under static scheduling", hr.Target)
-		}
-		if want := Affinity(hr.Target, st.Shards); hr.Shard != want {
-			t.Errorf("%s ran on shard %d, affinity %d", hr.Target, hr.Shard, want)
-		}
-	}
-}
-
-func TestSweepStolenHostsRunOffTheirHomeShard(t *testing.T) {
-	// A deliberately skewed fleet: with one host far slower than the
-	// rest, idle shards must steal, and every stolen host must have run
-	// away from its affinity home.
-	targets, _ := SkewedFleet(32, 4, 200*time.Microsecond, 20)
+// TestWarmSkewedSweepDispatchesSlowHostFirst: the cold sweep of a skewed
+// fleet knows no costs and starts the slow host last (it is last in name
+// order); the warm sweep orders by the costs the cold one observed and
+// starts it first. The slow host sleeps 100× longer than any other, so
+// the observed order does not hinge on scheduler noise.
+func TestWarmSkewedSweepDispatchesSlowHostFirst(t *testing.T) {
+	targets, slow := SkewedFleet(6, 100*time.Microsecond, 100)
 	coord := NewCoordinator()
-	coord.Sweep(targets, Options{Shards: 4, Workers: 1}) // learn costs
-	rep, st := coord.Sweep(targets, Options{Shards: 4, Workers: 1})
-	if st.Steals == 0 {
-		t.Fatal("skewed sweep recorded no steals")
-	}
-	stolen := 0
-	for _, hr := range rep.Hosts {
-		if !hr.Stolen {
-			continue
+	sweep := func() []string {
+		var buf bytes.Buffer
+		tr := telemetry.New(&buf)
+		coord.Sweep(targets, Options{Shards: 1, Workers: 1, Trace: tr})
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		stolen++
-		if hr.Shard == Affinity(hr.Target, st.Shards) {
-			t.Errorf("%s marked stolen but ran on its home shard %d", hr.Target, hr.Shard)
-		}
+		return hostSpanOrder(t, &buf)
 	}
-	if stolen != st.Steals {
-		t.Errorf("per-host stolen flags = %d, shard steal counters = %d", stolen, st.Steals)
+	cold := sweep()
+	var names []string
+	for _, tg := range targets {
+		names = append(names, tg.Name)
 	}
-	if st.QueueWait <= 0 {
-		t.Error("dispatch latency accounting is empty")
+	if !reflect.DeepEqual(cold, names) {
+		t.Fatalf("cold sweep dispatched %v, want name order %v", cold, names)
+	}
+	warm := sweep()
+	if len(warm) != len(targets) || warm[0] != slow {
+		t.Errorf("warm sweep dispatched %v, want the slow host %s first", warm, slow)
 	}
 }
 
+// TestSchedulingModesAgreeOnVerdicts: neither the sweep order (cold name
+// order, warm observed-cost order) nor the pool size changes a verdict.
 func TestSchedulingModesAgreeOnVerdicts(t *testing.T) {
-	verdicts := func(sched Scheduling) map[string]string {
-		targets, _ := SkewedFleet(16, 4, 50*time.Microsecond, 10)
-		rep, _ := Sweep(targets, Options{Shards: 4, Workers: 2, Scheduling: sched})
-		out := map[string]string{}
-		for _, hr := range rep.Hosts {
-			for _, r := range hr.Report.Results {
-				out[hr.Target+"/"+r.FindingID] = r.After.String()
+	var base map[string]string
+	for _, shards := range []int{1, 2, 4, 16} {
+		targets, _ := SkewedFleet(16, 50*time.Microsecond, 10)
+		coord := NewCoordinator()
+		for _, pass := range []string{"cold", "warm"} {
+			rep, _ := coord.Sweep(targets, Options{Shards: shards, Workers: 2})
+			got := map[string]string{}
+			for _, hr := range rep.Hosts {
+				for _, r := range hr.Report.Results {
+					got[hr.Target+"/"+r.FindingID] = r.After.String()
+				}
+			}
+			if base == nil {
+				base = got
+				continue
+			}
+			if !reflect.DeepEqual(base, got) {
+				t.Errorf("%d shards, %s sweep: verdicts diverge from 1 shard, cold", shards, pass)
 			}
 		}
-		return out
 	}
-	static, steal := verdicts(ScheduleStatic), verdicts(ScheduleWorkStealing)
-	if len(static) != len(steal) {
-		t.Fatalf("verdict counts diverge: %d vs %d", len(static), len(steal))
-	}
-	for k, v := range static {
-		if steal[k] != v {
-			t.Errorf("%s: static %s, stealing %s", k, v, steal[k])
-		}
+	if len(base) != 16*8 {
+		t.Errorf("verdicts = %d, want 128", len(base))
 	}
 }
 
+// TestUtilizationCountsActiveShardsOnly: capacity math must not divide by
+// workers that can never have work. Sweep clamps the pool to the host
+// count, and Utilization divides by that pool.
 func TestUtilizationCountsActiveShardsOnly(t *testing.T) {
-	// The regression shape: capacity math must not divide by shards that
-	// never had work. Two of four shards active, both fully busy → 100%.
-	st := FleetStats{
-		Shards: 4, ActiveShards: 2, Workers: 1,
-		Wall: time.Second, Busy: 2 * time.Second,
+	st := FleetStats{Shards: 2, Workers: 1, Wall: time.Second, Busy: 2 * time.Second}
+	if u := st.Utilization(); u != 1 {
+		t.Errorf("Utilization = %v, want 1.0 (two fully busy workers)", u)
 	}
-	if u := st.Utilization(); math.Abs(u-1) > 1e-9 {
-		t.Errorf("Utilization = %v, want 1.0 (active-shard capacity only)", u)
-	}
-	// End to end: request as many shards as targets; FNV affinity leaves
-	// some buckets empty under static scheduling, and ActiveShards must
-	// reflect the placement, not the configuration.
-	for n := 3; n <= 10; n++ {
-		targets, _ := LinuxFleet(n)
-		_, st := Sweep(targets, Options{Shards: 64, Workers: 1, Scheduling: ScheduleStatic})
-		if st.Shards != n {
-			t.Fatalf("shards not clamped: %d", st.Shards)
-		}
-		if st.ActiveShards < 1 || st.ActiveShards > st.Shards {
-			t.Fatalf("ActiveShards = %d out of range", st.ActiveShards)
-		}
-		active := 0
-		for _, sh := range st.PerShard {
-			if sh.Hosts > 0 {
-				active++
-			}
-		}
-		if active != st.ActiveShards {
-			t.Errorf("n=%d: ActiveShards = %d, per-shard rows say %d", n, st.ActiveShards, active)
-		}
-		if st.ActiveShards < st.Shards {
-			return // found the empty-bucket shape and it was handled
-		}
-	}
-	t.Log("no empty affinity bucket in tested range; direct-math case still covers the fix")
-}
-
-func TestLoadImbalanceBounds(t *testing.T) {
-	targets, _ := LinuxFleet(12)
-	_, st := Sweep(targets, Options{Shards: 4, Workers: 1})
-	if st.LoadImbalance != 0 && st.LoadImbalance < 1 {
-		t.Errorf("LoadImbalance = %v, must be 0 (unmeasured) or >= 1", st.LoadImbalance)
+	targets, _ := LinuxFleet(3)
+	if _, st := Sweep(targets, Options{Shards: 64, Workers: 1}); st.Shards != 3 {
+		t.Errorf("3 hosts: pool of %d shards, want clamped to 3", st.Shards)
 	}
 }

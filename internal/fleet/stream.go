@@ -322,7 +322,7 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 			sp = root.ChildTrace("delta").Tag("host", p.sh.target.Name).TagBool("full", p.full)
 		}
 		var hr HostResult
-		hr, plans[i].version = s.coord.evaluate(p.sh.target, p.only, i%s.opts.Shards, evalOpts, memo, sp)
+		hr, plans[i].version = s.coord.evaluate(p.sh.target, p.only, evalOpts, memo, sp)
 		if sp != nil {
 			sp.TagInt("checks", len(p.only)).End()
 		}
@@ -368,15 +368,14 @@ func (s *Streamer) Flush(now time.Duration) FlushResult {
 	s.coord.mu.Unlock()
 	s.mu.Unlock()
 
-	recordFlushMetrics(s.opts.Metrics, fr, s.coord.Compliance())
+	if s.opts.Metrics != nil {
+		recordFlushMetrics(s.opts.Metrics, fr, s.coord.Compliance())
+	}
 	return fr
 }
 
 // recordFlushMetrics folds one flush into the shared metrics registry.
 func recordFlushMetrics(m *telemetry.Metrics, fr FlushResult, compliance float64) {
-	if m == nil {
-		return
-	}
 	m.Add("stream.flushes", 1)
 	m.Add("stream.events", int64(fr.Events))
 	m.Add("stream.dirty_hosts", int64(len(fr.Hosts)))

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"veridevops/internal/core"
 	"veridevops/internal/engine"
@@ -50,8 +49,8 @@ func TestSweepSpanTreeCoversAllLevels(t *testing.T) {
 			hosts[n.Tags["host"]] = true
 		}
 	})
-	if counts["shard"] < 1 || counts["shard"] > 2 {
-		t.Errorf("shard spans = %d, want 1..2", counts["shard"])
+	if counts["shard"] != 2 {
+		t.Errorf("shard spans = %d, want 2 (one per pool worker)", counts["shard"])
 	}
 	if counts["host"] != nHosts {
 		t.Errorf("host spans = %d, want %d", counts["host"], nHosts)
@@ -89,9 +88,9 @@ func TestSweepTracedMatchesUntracedVerdicts(t *testing.T) {
 	}
 }
 
-// TestFullyCachedSweepFiniteStats is the LoadImbalance NaN regression: a
-// 100%-cache-hit incremental re-sweep (no host re-executed) must report
-// finite ratios everywhere, render cleanly, and stay valid JSON.
+// TestFullyCachedSweepFiniteStats is the NaN regression: a 100%-cache-hit
+// incremental re-sweep (no host re-executed) must report finite ratios
+// everywhere, render cleanly, and stay valid JSON.
 func TestFullyCachedSweepFiniteStats(t *testing.T) {
 	const nHosts = 8
 	targets, _ := LinuxFleet(nHosts)
@@ -109,10 +108,9 @@ func TestFullyCachedSweepFiniteStats(t *testing.T) {
 		t.Fatalf("cached = %d, hit rate = %v", st.CachedHosts, st.CacheHitRate())
 	}
 	for name, v := range map[string]float64{
-		"LoadImbalance": st.LoadImbalance,
-		"Utilization":   st.Utilization(),
-		"CacheHitRate":  st.CacheHitRate(),
-		"DedupRate":     st.DedupRate(),
+		"Utilization":  st.Utilization(),
+		"CacheHitRate": st.CacheHitRate(),
+		"DedupRate":    st.DedupRate(),
 	} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("%s = %v, want finite", name, v)
@@ -121,7 +119,7 @@ func TestFullyCachedSweepFiniteStats(t *testing.T) {
 	if strings.Contains(st.Summary(), "NaN") {
 		t.Errorf("summary contains NaN: %s", st.Summary())
 	}
-	b, err := json.Marshal(st.ShardTable("cached sweep"))
+	b, err := json.Marshal(st.HostTable("cached sweep", rep))
 	if err != nil {
 		t.Fatalf("stats table does not JSON-encode: %v", err)
 	}
@@ -131,27 +129,21 @@ func TestFullyCachedSweepFiniteStats(t *testing.T) {
 }
 
 // TestAggregateZeroWallShards hits the zero-denominator directly: every
-// host replayed and every shard wall zero (the pathological form the
-// LoadImbalance guard exists for) must define the ratio as 0, not NaN.
+// host replayed and a zero pool wall must define utilization as 0, not
+// NaN.
 func TestAggregateZeroWallShards(t *testing.T) {
 	results := []HostResult{
-		{Target: "host-00", Shard: 0, FromCache: true},
-		{Target: "host-01", Shard: 1, FromCache: true},
+		{Target: "host-00", FromCache: true},
+		{Target: "host-01", FromCache: true},
 	}
-	st := aggregate(results, []time.Duration{0, 0}, engine.PoolStats{Workers: 2}, Options{
+	st := aggregate(results, engine.PoolStats{Workers: 2}, Options{
 		Shards: 2, Workers: 1, Incremental: true, Mode: core.CheckOnly,
 	})
-	if st.ActiveShards != 2 {
-		t.Fatalf("active shards = %d, want 2", st.ActiveShards)
+	if st.CachedHosts != 2 {
+		t.Fatalf("cached hosts = %d, want 2", st.CachedHosts)
 	}
-	if math.IsNaN(st.LoadImbalance) || math.IsInf(st.LoadImbalance, 0) {
-		t.Fatalf("LoadImbalance = %v, want finite", st.LoadImbalance)
-	}
-	if st.LoadImbalance != 0 {
-		t.Errorf("LoadImbalance = %v, want 0 when no shard did measurable work", st.LoadImbalance)
-	}
-	if u := st.Utilization(); math.IsNaN(u) || math.IsInf(u, 0) {
-		t.Errorf("Utilization = %v, want finite", u)
+	if u := st.Utilization(); math.IsNaN(u) || math.IsInf(u, 0) || u != 0 {
+		t.Errorf("Utilization = %v, want 0 when nothing did measurable work", u)
 	}
 }
 

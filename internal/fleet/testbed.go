@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"veridevops/internal/core"
@@ -51,33 +52,24 @@ func WithProbeDelay(t Target, delay time.Duration) Target {
 	return t
 }
 
-// SkewedFleet builds the work-stealing benchmark shape: n probe-delayed
-// hosts of which one — picked deterministically from the most populated
-// affinity bucket at the given shard count, where static scheduling hurts
-// the most co-tenants — pays skew× the probe delay. It returns the
-// targets and the slow host's name.
-func SkewedFleet(n, shards int, delay time.Duration, skew int) ([]Target, string) {
+// SkewedFleet builds the sweep-order benchmark shape: n probe-delayed
+// hosts of which the last in name order pays skew× the probe delay. A
+// cold sweep, which runs in name order, starts that host last, so it
+// paces the sweep's tail; a warm sweep, ordered by observed cost, starts
+// it first. It returns the targets and the slow host's name.
+func SkewedFleet(n int, delay time.Duration, skew int) ([]Target, string) {
 	targets, _ := LinuxFleet(n)
-	buckets := make([]int, shards)
-	for _, t := range targets {
-		buckets[Affinity(t.Name, shards)]++
-	}
-	biggest := 0
-	for s, c := range buckets {
-		if c > buckets[biggest] {
-			biggest = s
-		}
-	}
-	slow := ""
+	// LinuxFleet's names are zero-padded to two digits only, so past 100
+	// hosts the last name ("host-99") is not the last index.
+	last := slices.MaxFunc(targets, compareTargets).Name
 	for i := range targets {
 		d := delay
-		if slow == "" && Affinity(targets[i].Name, shards) == biggest {
-			slow = targets[i].Name
+		if targets[i].Name == last {
 			d = delay * time.Duration(skew)
 		}
 		targets[i] = WithProbeDelay(targets[i], d)
 	}
-	return targets, slow
+	return targets, last
 }
 
 // WithFaults replaces a target's catalogue with one whose checks misbehave

@@ -58,7 +58,7 @@ func HistogramBounds() []time.Duration {
 
 // Metrics is the lightweight registry half of the telemetry layer: named
 // counters, gauges and duration histograms the engine, fleet and monitor
-// hot paths feed (engine.checks, fleet.steals, monitor.alarms, ...) and
+// hot paths feed (engine.checks, fleet.hosts, monitor.alarms, ...) and
 // the CLIs' -metrics flag renders. A nil *Metrics is the disabled
 // registry: every method is a zero-allocation no-op, so instrumentation
 // stays compiled into the hot loops unconditionally. Metrics are safe
